@@ -44,11 +44,11 @@ WORK = ROOT / ".bench_work"
 DEFAULT_SEED = 42
 THREADS = 2
 SETUP_REPS = 21
-WARM_REPS = 11
+WARM_REPS = 31
 # Seconds a run may take after the build before it kills its children.
 DEADLINE_S = 170
-# fleet_tiny is not in BENCHMARK.json: its run-to-run spread exceeds the
-# largest bound there (see README.md); it stays runnable by hand.
+# solo_thermal and fleet_tiny are not in BENCHMARK.json (see README.md);
+# they stay runnable by hand.
 WORKLOADS = ["solo_rfhome", "solo_thermal", "suite_small", "fleet_tiny"]
 
 LIVE = set()
@@ -219,7 +219,7 @@ class Bench:
         for i in range(WARM_REPS):
             proc, s = self.suite_run(args + ["--expect-cached"], results, runcache, requested, f"suite-warm{i}")
             self.check("suite-warm simulated", s is not None and s["simulated"] == 0, "warm pass simulated")
-            warm.append(proc.wall)
+            warm.append(proc.cpu)
         self.same_figures(results, ROOT / "results", "suite-warm figures identical to results/")
         return {
             "wall": cold.wall,
@@ -279,7 +279,7 @@ class Bench:
             p = run_cmd([self.exp_all, "tiny", "--finalize", "--verify", ref], self.log(f"finalize{i}"), env)
             ok = self.check("finalize --verify", p.code == 0 and "byte-identical" in p.text, p.text[-2000:])
             self.account(unique, 0 if ok else unique)
-            warm.append(p.wall)
+            warm.append(p.cpu)
         busy = sum(w["busy_skips"] for w in lines)
         return {
             "wall": wall,
@@ -305,7 +305,7 @@ class Bench:
         while True:
             passes.append(one_pass())
             p = passes[-1]
-            print(f"pass {len(passes)}: wall={p['wall']:.3f}s cpu={p['cpu']:.3f}s warm={p['warm']:.4f}s")
+            print(f"pass {len(passes)}: wall={p['wall']:.3f}s cpu={p['cpu']:.3f}s warm_cpu={p['warm']:.4f}s")
             if self.trace or time.monotonic() - start + passes[-1]["total"] > self.seconds:
                 print(f"passes: {len(passes)}")
                 return passes
@@ -321,7 +321,7 @@ class Bench:
             "sim_mips": (med("mips"), "MIPS"),
             "setup_s": (setup_s, "s"),
             "peak_rss_mb": (max(p["rss"] for p in passes), "MiB"),
-            "warm_s": (med("warm"), "s"),
+            "warm_cpu_s": (med("warm"), "s"),
             "edbp_speedup": (med("edbp"), "x"),
         }
 
@@ -379,7 +379,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--workload", required=True, choices=WORKLOADS)
     ap.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    ap.add_argument("--seconds", type=int, default=30)
+    ap.add_argument("--seconds", type=int, default=50)
     ap.add_argument("--trace", type=int, choices=[0, 1], default=0)
     args = ap.parse_args(argv)
 

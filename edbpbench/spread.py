@@ -35,7 +35,10 @@ def main():
         proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
         last = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else "{}"
         result = json.loads(last) if last.startswith("{") else {}
-        print(f"seed {seed}: exit {proc.returncode} correct={result.get('correct')}", flush=True)
+        values_now = " ".join(f"{k}={m['value']:.4g}" for k, m in result.get("metrics", {}).items())
+        steal = [line.rsplit(" ", 1)[-1] for line in proc.stdout.splitlines() if "steal during run" in line]
+        print(f"seed {seed}: exit {proc.returncode} correct={result.get('correct')} steal={steal} {values_now}",
+              flush=True)
         if proc.returncode != 0:
             print(proc.stderr[-2000:], file=sys.stderr)
         for name, m in result.get("metrics", {}).items():

@@ -20,7 +20,7 @@
 //! * `layers --preset P --seed N --scale SCALE`: per-layer probes.
 
 mod layers;
-mod procfs;
+mod resources;
 mod solo;
 mod suite;
 

@@ -12,7 +12,7 @@ use ehs_sim::{
 };
 use ehs_workloads::{build, AppId, Scale};
 
-use crate::{config_for, fresh_dir, median, procfs, timed, Args, Out, APPS};
+use crate::{config_for, fresh_dir, median, resources, timed, Args, Out, APPS};
 
 /// The schemes of the solo matrix.
 pub const SCHEMES: [Scheme; 4] = [
@@ -106,11 +106,11 @@ pub fn run_pass(config: &SystemConfig, scale: Scale, mut spans: Option<&mut Span
     let (mut lane_wall, mut lane_cpu) = (Vec::new(), Vec::new());
     let mut results = Vec::with_capacity(lanes.len());
     for (app, scheme, lane) in lanes {
-        let cpu = procfs::thread_cpu_seconds();
+        let cpu = resources::thread_cpu_seconds();
         let (t, result) = timed(|| {
             lane.and_then(|lane| catch_unwind(AssertUnwindSafe(|| run_lane(lane).result)).ok())
         });
-        lane_cpu.push(procfs::thread_cpu_seconds() - cpu);
+        lane_cpu.push(resources::thread_cpu_seconds() - cpu);
         lane_wall.push(t);
         results.push((app, scheme, result));
     }
@@ -181,8 +181,8 @@ pub fn edbp_speedup(pass: &Pass) -> f64 {
 }
 
 /// The warm replay of the matrix: loading every result back from a run
-/// cache it was stored into. Sampled after every pass, so the samples span
-/// the run as the lane timings do.
+/// cache it was stored into, timed in thread CPU seconds. Sampled after
+/// every pass, so the samples span the run as the lane timings do.
 struct WarmReplay {
     cache: RunCache,
     keys: Vec<(u64, Scheme, AppId, RunResult)>,
@@ -218,13 +218,14 @@ impl WarmReplay {
 
     fn sample(&mut self, reps: usize) {
         for _ in 0..reps {
-            let (t, loaded) = timed(|| {
+            let cpu = resources::thread_cpu_seconds();
+            let loaded = {
                 self.keys
                     .iter()
                     .map(|&(fp, scheme, app, _)| self.cache.load(fp, scheme, app, Scale::Full))
                     .collect::<Vec<_>>()
-            });
-            self.times.push(t);
+            };
+            self.times.push(resources::thread_cpu_seconds() - cpu);
             self.mismatched += self
                 .keys
                 .iter()
@@ -295,8 +296,8 @@ pub fn main(args: &Args, out: &mut Out) {
         out.metric("cpu_s", lane_median_sum(&passes, |p| &p.lane_cpu), "s");
         out.metric("sim_mips", first.committed() as f64 / wall / 1e6, "MIPS");
         out.metric("setup_s", median(&setup), "s");
-        out.metric("warm_s", median(&warm.times), "s");
-        out.metric("peak_rss_mb", procfs::peak_rss_mib(), "MiB");
+        out.metric("warm_cpu_s", median(&warm.times), "s");
+        out.metric("peak_rss_mb", resources::peak_rss_mib(), "MiB");
         out.metric("edbp_speedup", edbp_speedup(first), "x");
     }
 }
