@@ -191,6 +191,12 @@ def validate_metrics(metrics, catalogue):
     return problems
 
 
+def is_correct(problems, attempted, failed):
+    """Whether a run passed: no failed check, no failed operation, and at
+    least one operation attempted."""
+    return not problems and failed == 0 and attempted > 0
+
+
 def result_line(correct, attempted, failed, metrics):
     """The one-line JSON result the benchmark prints last."""
     return json.dumps(

@@ -11,7 +11,8 @@ last line of stdout:
     {"correct": true, "attempted": N, "failed": 0, "metrics": {name: {"value", "unit"}}}
 
 --trace 0 prints the end-to-end metrics, --trace 1 the per-layer ones (see
-README.md). A failed output check prints `correct: false` and exits 1.
+README.md). A failed output check prints `correct: false` with no
+metrics and exits 1.
 Scratch files go to `.bench_work/`, removed at exit; `results/` and
 `results/.runcache/` are never written.
 
@@ -20,7 +21,6 @@ Workloads:
                 Full scale, RFHome source seeded by --seed
   solo_thermal  the same matrix on the Thermal source
   suite_small   cold `exp_all small --threads 2`, then warm `--expect-cached`
-  fleet_tiny    two `exp_all tiny --worker` processes, then `--finalize --verify`
 """
 
 import argparse
@@ -47,9 +47,8 @@ SETUP_REPS = 21
 WARM_REPS = 31
 # Seconds a run may take after the build before it kills its children.
 DEADLINE_S = 170
-# solo_thermal and fleet_tiny are not in BENCHMARK.json (see README.md);
-# they stay runnable by hand.
-WORKLOADS = ["solo_rfhome", "solo_thermal", "suite_small", "fleet_tiny"]
+# The workloads BENCHMARK.json lists.
+WORKLOADS = ["solo_rfhome", "solo_thermal", "suite_small"]
 
 LIVE = set()
 
@@ -192,12 +191,12 @@ class Bench:
     def solo(self, preset):
         args = ["solo", "--preset", preset, "--seed", self.seed, "--seconds", self.seconds]
         rec = self.helper(*args, *(["--trace"] if self.trace else []))
-        print(f"digest: {rec['info'].get('digest')} passes={rec['info'].get('passes')}")
+        print(f"digest: {rec['info'].get('digest')} passes={rec['info'].get('passes', 0)}")
         metrics = dict(rec["metrics"])
         if self.trace:
             ref, printed = self.reference_tiny()
             metrics.update(self.suite_layers("tiny", ref, printed))
-            metrics.update(self.fleet_pass(ref, printed["unique"])["worker"])
+            metrics.update(self.fleet_pass(ref, printed["unique"]))
         return metrics
 
     def setup(self, scale):
@@ -259,12 +258,12 @@ class Bench:
         return ref, summary
 
     def fleet_pass(self, ref, unique):
-        start = time.monotonic()
+        """Two `exp_all tiny --worker` processes over one fresh run cache, then
+        `--finalize --verify` against `ref`; returns the runner.worker.* metrics."""
         results, runcache = fresh(WORK / "fleet" / "results"), fresh(WORK / "fleet" / "runcache")
         env = sim_env(results, runcache)
         workers = [spawn([self.exp_all, "tiny", "--worker"], self.log(f"worker{i}"), env) for i in range(2)]
         procs = [reap(p) for p in workers]
-        wall = time.monotonic() - start
         lines = [bl.parse_worker_line(p.text) for p in procs]
         ok = True
         for i, (p, w) in enumerate(zip(procs, lines)):
@@ -274,28 +273,16 @@ class Bench:
         completed = sum(w["completed"] for w in lines)
         ok &= self.check("workers completed every unique job", completed == unique, f"{completed} != {unique}")
         self.account(unique, 0 if ok else unique)
-        warm = []
-        for i in range(WARM_REPS):
-            p = run_cmd([self.exp_all, "tiny", "--finalize", "--verify", ref], self.log(f"finalize{i}"), env)
-            ok = self.check("finalize --verify", p.code == 0 and "byte-identical" in p.text, p.text[-2000:])
-            self.account(unique, 0 if ok else unique)
-            warm.append(p.cpu)
+        p = run_cmd([self.exp_all, "tiny", "--finalize", "--verify", ref], self.log("finalize"), env)
+        ok = self.check("finalize --verify", p.code == 0 and "byte-identical" in p.text, p.text[-2000:])
+        self.account(unique, 0 if ok else unique)
         busy = sum(w["busy_skips"] for w in lines)
         return {
-            "wall": wall,
-            "cpu": sum(p.cpu for p in procs),
-            "rss": sum(p.rss_mb for p in procs),
-            "warm": statistics.median(warm),
-            "mips": self.committed("tiny", runcache) / wall / 1e6,
-            "edbp": self.fig08_edbp(results),
-            "total": time.monotonic() - start,
-            "worker": {
-                "runner.worker.completed": (completed, "count"),
-                "runner.worker.adopted": (sum(w["adopted"] for w in lines), "count"),
-                "runner.worker.busy_skips": (busy, "count"),
-                "runner.worker.retries": (sum(w["retries"] for w in lines), "count"),
-                "runner.worker.claim_useful_ratio": (completed / max(1, completed + busy), "ratio"),
-            },
+            "runner.worker.completed": (completed, "count"),
+            "runner.worker.adopted": (sum(w["adopted"] for w in lines), "count"),
+            "runner.worker.busy_skips": (busy, "count"),
+            "runner.worker.retries": (sum(w["retries"] for w in lines), "count"),
+            "runner.worker.claim_useful_ratio": (completed / max(1, completed + busy), "ratio"),
         }
 
     def repeat(self, one_pass):
@@ -330,25 +317,10 @@ class Bench:
         passes = self.repeat(lambda: self.suite_pass(requested, unique))
         if not self.trace:
             return self.e2e(passes, setup_s)
-        cold = passes[0]
-        metrics = self.suite_layers("small", ROOT / "results", cold["summary"])
-        metrics["trace.overhead_ratio"] = (metrics["trace.suite_wall_s"][0] / cold["wall"], "ratio")
+        metrics = self.suite_layers("small", ROOT / "results", passes[0]["summary"])
         metrics.update(self.layers("small"))
         ref, printed = self.reference_tiny()
-        metrics.update(self.fleet_pass(ref, printed["unique"])["worker"])
-        return metrics
-
-    def fleet_tiny(self):
-        setup_s, _, unique = self.setup("tiny")
-        ref, printed = self.reference_tiny()
-        passes = self.repeat(lambda: self.fleet_pass(ref, unique))
-        if not self.trace:
-            return self.e2e(passes, setup_s)
-        metrics = self.suite_layers("tiny", ref, printed)
-        metrics.update(passes[0]["worker"])
-        metrics.update(self.layers("tiny"))
-        fleet = self.helper("fleet-trace", "--scale", "tiny", "--threads", THREADS)
-        metrics["trace.overhead_ratio"] = (fleet["metrics"]["trace.fleet_wall_s"][0] / passes[0]["wall"], "ratio")
+        metrics.update(self.fleet_pass(ref, printed["unique"]))
         return metrics
 
     def layers(self, scale):
@@ -379,7 +351,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--workload", required=True, choices=WORKLOADS)
     ap.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    ap.add_argument("--seconds", type=int, default=50)
+    ap.add_argument("--seconds", type=int, default=35)
     ap.add_argument("--trace", type=int, choices=[0, 1], default=0)
     args = ap.parse_args(argv)
 
@@ -399,10 +371,8 @@ def main(argv=None):
             raw = bench.solo("rfhome")
         elif args.workload == "solo_thermal":
             raw = bench.solo("thermal")
-        elif args.workload == "suite_small":
-            raw = bench.suite_small()
         else:
-            raw = bench.fleet_tiny()
+            raw = bench.suite_small()
     except Abort as e:
         bench.problems.append(str(e))
     except KeyError as e:
@@ -422,10 +392,11 @@ def main(argv=None):
     print(f"failed_ratio: {bench.failed}/{bench.attempted}")
     for problem in bench.problems:
         print(f"edbpbench: check failed: {problem}", file=sys.stderr)
-    if bench.problems:
+    correct = bl.is_correct(bench.problems, bench.attempted, bench.failed)
+    if not correct:
         bench.failed = max(bench.failed, 1)
-    correct = not bench.problems and bench.attempted > 0
-    print(bl.result_line(correct, max(1, bench.attempted), bench.failed, metrics))
+    # A failed run records no numbers.
+    print(bl.result_line(correct, max(1, bench.attempted), bench.failed, metrics if correct else {}))
     return 0 if correct else 1
 
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Runs the benchmark on several seeds and reports each metric's spread.
 
-    python3 edbpbench/spread.py --workload NAME [--seeds 1,2,...] [--seconds S] [--trace 0|1]
+    python3 edbpbench/spread.py --workload NAME [--seeds 1,2,...] [--seconds S]
 
 For each end-to-end metric it prints the median and the distance between
 the first and third quartiles as a share of the median (what BENCHMARK.json's
@@ -23,7 +23,6 @@ def main():
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", default="1,2,3,4,5,6,7,8,9,10")
     ap.add_argument("--seconds", type=int)
-    ap.add_argument("--trace", type=int, default=0)
     args = ap.parse_args()
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = args.seconds or spec["run_seconds"]
@@ -31,7 +30,7 @@ def main():
     values = {}
     for seed in args.seeds.split(","):
         cmd = [sys.executable, "edbpbench/run.py", "--workload", args.workload, "--seed", seed,
-               "--seconds", str(seconds), "--trace", str(args.trace)]
+               "--seconds", str(seconds), "--trace", "0"]
         proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
         last = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else "{}"
         result = json.loads(last) if last.startswith("{") else {}

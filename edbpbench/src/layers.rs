@@ -31,8 +31,8 @@ pub fn main(args: &Args, out: &mut Out) {
     );
 }
 
-/// Every probe; returns the wall seconds of the traced matrix pass.
-pub fn run(config: &SystemConfig, scale: Scale, out: &mut Out) -> f64 {
+/// Every probe.
+pub fn run(config: &SystemConfig, scale: Scale, out: &mut Out) {
     let builds: Vec<f64> = (0..3)
         .map(|_| timed(|| APPS.map(|app| build(app, scale))).0)
         .collect();
@@ -51,11 +51,28 @@ pub fn run(config: &SystemConfig, scale: Scale, out: &mut Out) -> f64 {
     let streams = cpu(&workloads, &baselines, out);
     cache(config, &streams, &baselines, out);
     predictor(config, &streams, &pass, out);
+    overhead(config, &streams, &pass, out);
     energy(config, &baselines, out);
     memory(config, &streams, out);
     lockstep(config, out);
     out.metric("sim.matrix_s", pass.wall_s, "s");
-    pass.wall_s
+}
+
+/// Tracing overhead: the cache and predictor replays with their per-call
+/// spans over the same replays without, median of three alternating pairs.
+fn overhead(config: &SystemConfig, streams: &[Stream], pass: &Pass, out: &mut Out) {
+    let (mut traced, mut plain) = (Vec::new(), Vec::new());
+    for _ in 0..3 {
+        for (spans, times) in [(false, &mut plain), (true, &mut traced)] {
+            let cache = replay_cache(config, streams, spans).total;
+            times.push(cache + replay_predictor(config, streams, pass, spans).total);
+        }
+    }
+    out.metric(
+        "trace.overhead_ratio",
+        median(&traced) / median(&plain),
+        "ratio",
+    );
 }
 
 /// Timer cost of one per-call span, in seconds: what an empty span reads
@@ -88,6 +105,7 @@ fn sim_matrix(pass: &Pass, spans: &Spans, out: &mut Out) {
         spans.oracle_record.iter().sum::<f64>() * 1e3,
         "ms",
     );
+    out.info("digest", format!("{:016x}", crate::solo::digest(pass)));
     let (mut outages, mut committed) = (0u64, 0u64);
     for ((app, scheme, result), t) in pass.results.iter().zip(&pass.lane_wall) {
         if let Some(r) = result {
@@ -167,11 +185,19 @@ fn cpu(workloads: &[Workload], baselines: &[&RunResult], out: &mut Out) -> Vec<S
         .collect()
 }
 
-/// Replays each stream through a D-cache of the run's geometry and policy.
-fn cache(config: &SystemConfig, streams: &[Stream], baselines: &[&RunResult], out: &mut Out) {
-    let cost = span_cost();
-    let (mut accesses, mut hits, mut fills) = (0u64, 0u64, 0u64);
-    let (mut total, mut fill_spans) = (0.0, 0.0);
+/// One replay of the streams through a D-cache of the run's geometry and
+/// policy; with `spans`, each fill is timed on its own.
+#[derive(Default)]
+struct CacheReplay {
+    total: f64,
+    fill_spans: f64,
+    fills: u64,
+    hits: u64,
+    accesses: u64,
+}
+
+fn replay_cache(config: &SystemConfig, streams: &[Stream], spans: bool) -> CacheReplay {
+    let mut r = CacheReplay::default();
     for stream in streams {
         let mut cache = Cache::new(config.dcache);
         let mask = !(u64::from(cache.block_bytes()) - 1);
@@ -179,41 +205,70 @@ fn cache(config: &SystemConfig, streams: &[Stream], baselines: &[&RunResult], ou
         let start = Instant::now();
         for &(addr, kind) in stream {
             match cache.lookup_with(addr, kind, |_, _| {}) {
-                LookupResult::Hit(_) => hits += 1,
+                LookupResult::Hit(_) => r.hits += 1,
                 LookupResult::Miss(_) => {
-                    let t = Instant::now();
-                    cache.fill(addr & mask, &zero, kind == AccessKind::Write);
-                    fill_spans += t.elapsed().as_secs_f64();
-                    fills += 1;
+                    let dirty = kind == AccessKind::Write;
+                    if spans {
+                        let t = Instant::now();
+                        cache.fill(addr & mask, &zero, dirty);
+                        r.fill_spans += t.elapsed().as_secs_f64();
+                    } else {
+                        cache.fill(addr & mask, &zero, dirty);
+                    }
+                    r.fills += 1;
                 }
             }
         }
-        total += start.elapsed().as_secs_f64();
-        accesses += stream.len() as u64;
+        r.total += start.elapsed().as_secs_f64();
+        r.accesses += stream.len() as u64;
     }
-    let fill = fill_spans / fills.max(1) as f64 - cost.inside;
-    let lookup = (total - fill_spans - (cost.pair - cost.inside) * fills as f64) / accesses as f64;
+    r
+}
+
+fn cache(config: &SystemConfig, streams: &[Stream], baselines: &[&RunResult], out: &mut Out) {
+    let cost = span_cost();
+    let r = replay_cache(config, streams, true);
+    let fill = r.fill_spans / r.fills.max(1) as f64 - cost.inside;
+    let lookup =
+        (r.total - r.fill_spans - (cost.pair - cost.inside) * r.fills as f64) / r.accesses as f64;
     out.metric("cache.lookup_ns", lookup * 1e9, "ns");
     out.metric("cache.fill_ns", fill * 1e9, "ns");
-    out.metric("cache.accesses", accesses as f64, "count");
-    out.metric("cache.hit_ratio", hits as f64 / accesses as f64, "ratio");
+    out.metric("cache.accesses", r.accesses as f64, "count");
+    out.metric(
+        "cache.hit_ratio",
+        r.hits as f64 / r.accesses as f64,
+        "ratio",
+    );
     out.metric("trace.span_overhead_ns", cost.inside * 1e9, "ns");
     let expected: u64 = baselines.iter().map(|r| r.loads + r.stores).sum();
     out.check(
         "cache.accesses_match_loads_stores",
-        accesses == expected,
-        format!("{accesses} replayed vs {expected} loads+stores"),
+        r.accesses == expected,
+        format!("{} replayed vs {expected} loads+stores", r.accesses),
     );
 }
 
-/// Drives an EDBP predictor over each stream with a voltage that decays
-/// from `V_rst` to `V_ckpt` once per power cycle, a cycle lasting as many
-/// accesses as the app's Edbp run averaged between outages.
-fn predictor(config: &SystemConfig, streams: &[Stream], pass: &Pass, out: &mut Out) {
-    let cost = span_cost();
+/// One run of an EDBP predictor over each stream with a voltage that
+/// decays from `V_rst` to `V_ckpt` once per power cycle, a cycle lasting as
+/// many accesses as the app's Edbp run averaged between outages; with
+/// `spans`, each tick is timed on its own.
+#[derive(Default)]
+struct PredictorReplay {
+    total: f64,
+    tick_spans: f64,
+    ticks: u64,
+    gated: u64,
+}
+
+fn replay_predictor(
+    config: &SystemConfig,
+    streams: &[Stream],
+    pass: &Pass,
+    spans: bool,
+) -> PredictorReplay {
     let v_rst = config.energy.thresholds.v_rst.as_volts();
     let v_ckpt = config.energy.thresholds.v_ckpt.as_volts();
-    let (mut ticks, mut gated, mut tick_spans) = (0u64, 0u64, 0.0);
+    let mut r = PredictorReplay::default();
     let mut scratch = TickOutcome::default();
     for (&app, stream) in APPS.iter().zip(streams) {
         let outages = pass.result(app, Scheme::Edbp).map_or(0, |r| r.outages);
@@ -227,6 +282,7 @@ fn predictor(config: &SystemConfig, streams: &[Stream], pass: &Pass, out: &mut O
         );
         let mask = !(u64::from(cache.block_bytes()) - 1);
         let zero = vec![0u8; cache.block_bytes() as usize];
+        let start = Instant::now();
         for (i, &(addr, kind)) in stream.iter().enumerate() {
             let pos = i as u64 % cycle_len;
             if pos == 0 && i > 0 {
@@ -245,22 +301,33 @@ fn predictor(config: &SystemConfig, streams: &[Stream], pass: &Pass, out: &mut O
                     edbp.on_fill(&cache, block, addr & mask);
                 }
             }
-            let v = v_rst - (v_rst - v_ckpt) * pos as f64 / cycle_len as f64;
-            let t = Instant::now();
-            edbp.tick_into(&mut cache, Voltage::from_volts(v), i as u64, &mut scratch);
-            tick_spans += t.elapsed().as_secs_f64();
-            ticks += 1;
-            gated += scratch.gated.len() as u64;
+            let v = Voltage::from_volts(v_rst - (v_rst - v_ckpt) * pos as f64 / cycle_len as f64);
+            if spans {
+                let t = Instant::now();
+                edbp.tick_into(&mut cache, v, i as u64, &mut scratch);
+                r.tick_spans += t.elapsed().as_secs_f64();
+            } else {
+                edbp.tick_into(&mut cache, v, i as u64, &mut scratch);
+            }
+            r.ticks += 1;
+            r.gated += scratch.gated.len() as u64;
             scratch.clear();
         }
+        r.total += start.elapsed().as_secs_f64();
     }
+    r
+}
+
+fn predictor(config: &SystemConfig, streams: &[Stream], pass: &Pass, out: &mut Out) {
+    let cost = span_cost();
+    let r = replay_predictor(config, streams, pass, true);
     out.metric(
         "core.tick_ns",
-        (tick_spans / ticks as f64 - cost.inside) * 1e9,
+        (r.tick_spans / r.ticks as f64 - cost.inside) * 1e9,
         "ns",
     );
-    out.metric("core.ticks", ticks as f64, "count");
-    out.metric("core.gated_blocks", gated as f64, "count");
+    out.metric("core.ticks", r.ticks as f64, "count");
+    out.metric("core.gated_blocks", r.gated as f64, "count");
 }
 
 /// Drains the workload's energy source with the Baseline runs' mean

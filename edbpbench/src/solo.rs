@@ -132,14 +132,27 @@ fn lane_median_sum(passes: &[Pass], per_lane: impl Fn(&Pass) -> &Vec<f64>) -> f6
         .sum()
 }
 
-/// Checks every run of `pass` (completed, no brown-outs) and counts it.
+/// Checks every run of `pass` (completed, no brown-outs) and counts it. A
+/// run that failed to build, panicked, ended incomplete or browned out
+/// counts as failed and fails the check.
 pub fn account_pass(pass: &Pass, out: &mut Out) {
-    let failed = pass
+    let failed: Vec<String> = pass
         .results
         .iter()
         .filter(|(_, _, r)| !r.as_ref().is_some_and(|r| r.completed && r.brownouts == 0))
-        .count() as u64;
-    out.account(pass.results.len() as u64, failed);
+        .map(|(app, scheme, _)| format!("{}/{scheme:?}", app.name()))
+        .collect();
+    out.account(pass.results.len() as u64, failed.len() as u64);
+    out.check(
+        "solo.runs_completed",
+        failed.is_empty(),
+        format!(
+            "{} of {} failed: {}",
+            failed.len(),
+            pass.results.len(),
+            failed.join(" ")
+        ),
+    );
 }
 
 /// FNV-1a digest of every simulated field of every result (all but the
@@ -236,9 +249,13 @@ impl WarmReplay {
     }
 }
 
-/// The `solo` subcommand.
+/// The `solo` subcommand. A traced run makes the per-layer probes only.
 pub fn main(args: &Args, out: &mut Out) {
     let config = config_for(args.preset(), args.num("seed"));
+    if args.flag("trace") {
+        crate::layers::run(&config, Scale::Full, out);
+        return;
+    }
     let seconds: f64 = args.num("seconds");
     let work = args.work();
     let start = Instant::now();
@@ -255,8 +272,7 @@ pub fn main(args: &Args, out: &mut Out) {
         warm.get_or_insert_with(|| WarmReplay::new(&config, &pass, &work.join("solo-cache")))
             .sample(11);
         passes.push(pass);
-        // A traced run needs one untraced pass to compare against.
-        if args.flag("trace") || start.elapsed().as_secs_f64() + pass_s > seconds {
+        if start.elapsed().as_secs_f64() + pass_s > seconds {
             break;
         }
     }
@@ -287,17 +303,11 @@ pub fn main(args: &Args, out: &mut Out) {
         warm.mismatched == 0,
         format!("{} mismatched loads", warm.mismatched),
     );
-
-    if args.flag("trace") {
-        let traced = crate::layers::run(&config, Scale::Full, out);
-        out.metric("trace.overhead_ratio", traced / first.wall_s, "ratio");
-    } else {
-        out.metric("wall_s", wall, "s");
-        out.metric("cpu_s", lane_median_sum(&passes, |p| &p.lane_cpu), "s");
-        out.metric("sim_mips", first.committed() as f64 / wall / 1e6, "MIPS");
-        out.metric("setup_s", median(&setup), "s");
-        out.metric("warm_cpu_s", median(&warm.times), "s");
-        out.metric("peak_rss_mb", resources::peak_rss_mib(), "MiB");
-        out.metric("edbp_speedup", edbp_speedup(first), "x");
-    }
+    out.metric("wall_s", wall, "s");
+    out.metric("cpu_s", lane_median_sum(&passes, |p| &p.lane_cpu), "s");
+    out.metric("sim_mips", first.committed() as f64 / wall / 1e6, "MIPS");
+    out.metric("setup_s", median(&setup), "s");
+    out.metric("warm_cpu_s", median(&warm.times), "s");
+    out.metric("peak_rss_mb", resources::peak_rss_mib(), "MiB");
+    out.metric("edbp_speedup", edbp_speedup(first), "x");
 }

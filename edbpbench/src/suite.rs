@@ -6,8 +6,8 @@ use std::path::Path;
 use ehs_sim::planner::{plan_suite, render_titled, REGISTRY};
 use ehs_sim::runcache::{self, ClaimOutcome, RunCache};
 use ehs_sim::runner::{
-    baseline_executions, effective_fingerprint, run_workers, simulations_executed,
-    try_run_jobs_outputs, unique_jobs, Job, JobOutput, RetryPolicy,
+    baseline_executions, effective_fingerprint, simulations_executed, try_run_jobs_outputs,
+    unique_jobs, Job, JobOutput,
 };
 
 use ehs_sim::Scheme;
@@ -85,7 +85,7 @@ pub fn trace(args: &Args, out: &mut Out) {
     let (plan_s, plan) = timed(|| plan_suite(scale));
     let (unique_s, unique) = timed(|| unique_jobs(&plan.jobs));
     let (executed0, baseline0) = (simulations_executed(), baseline_executions());
-    let (run_s, outputs) = timed(|| try_run_jobs_outputs(&plan.jobs, threads));
+    let outputs = try_run_jobs_outputs(&plan.jobs, threads);
     let failed = outputs.iter().filter(|r| r.is_err()).count();
     let mut render_s = 0.0;
     for (exp, range) in REGISTRY.iter().zip(&plan.sections) {
@@ -113,27 +113,6 @@ pub fn trace(args: &Args, out: &mut Out) {
         (baseline_executions() - baseline0) as f64,
         "count",
     );
-    out.metric(
-        "trace.suite_wall_s",
-        plan_s + unique_s + run_s + render_s,
-        "s",
-    );
-}
-
-/// The `fleet-trace` subcommand: the worker executor in-process, with
-/// `--threads` sweeps over one fresh cache directory.
-pub fn fleet_trace(args: &Args, out: &mut Out) {
-    runcache::install(fresh_dir(&args.work().join("fleet-cache")));
-    let plan = plan_suite(args.scale());
-    let unique = unique_jobs(&plan.jobs);
-    let (t, report) = timed(|| run_workers(&unique, &RetryPolicy::default(), args.num("threads")));
-    out.account(unique.len() as u64, report.failures.len() as u64);
-    out.check(
-        "fleet.completed_all",
-        report.completed == unique.len(),
-        format!("{} of {} completed", report.completed, unique.len()),
-    );
-    out.metric("trace.fleet_wall_s", t, "s");
 }
 
 /// The `runcache-probe` subcommand: loads entries of a filled suite cache,

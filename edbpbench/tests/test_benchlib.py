@@ -71,6 +71,14 @@ class HelperRecords(unittest.TestCase):
         self.assertEqual(rec["info"]["digest"], "6cb5307b8c0bc772")
         self.assertEqual((rec["attempted"], rec["failed"]), (30, 1))
 
+    def test_failed_runs_fail_the_verdict_without_a_failed_check(self):
+        rec = bl.parse_records("C solo.deterministic ok 1 pass(es)\nA 24 1\n")
+        self.assertFalse(bl.is_correct([], rec["attempted"], rec["failed"]))
+        rec = bl.parse_records("C solo.deterministic ok 1 pass(es)\nA 24 0\n")
+        self.assertTrue(bl.is_correct([], rec["attempted"], rec["failed"]))
+        self.assertFalse(bl.is_correct(["solo.runs_completed: 1 of 24 failed"], 24, 0))
+        self.assertFalse(bl.is_correct([], 0, 0))
+
 
 class Fig08(unittest.TestCase):
     def test_mean_row_of_the_committed_figure(self):
@@ -133,8 +141,11 @@ class Catalogue(unittest.TestCase):
         self.assertTrue(any(m["name"] == "setup_s" for m in spec["end_to_end"]))
         for m in spec["end_to_end"]:
             self.assertLessEqual(m["bound"], 0.25)
+        import run
+
         names = [w["name"] for w in spec["workloads"]]
-        self.assertEqual(names, ["solo_rfhome", "suite_small"])
+        self.assertEqual(names, ["solo_rfhome", "solo_thermal", "suite_small"])
+        self.assertEqual(names, run.WORKLOADS)
 
     def test_validation_flags_bad_output(self):
         good = {name: {"value": 1.5, "unit": unit} for name, (unit, _) in bl.E2E.items()}
