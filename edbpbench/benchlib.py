@@ -15,7 +15,6 @@ E2E = {
     "sim_mips": ("MIPS", "higher"),
     "setup_s": ("s", "lower"),
     "peak_rss_mb": ("MiB", "lower"),
-    "warm_cpu_s": ("s", "lower"),
     "edbp_speedup": ("x", "higher"),
 }
 
@@ -122,15 +121,6 @@ def parse_records(text):
             rec["attempted"] += int(parts[1])
             rec["failed"] += int(parts[2])
     return rec
-
-
-def fig08_mean_speedup(text, scheme="edbp"):
-    """The MEAN speedup of `scheme` in a rendered Fig. 8 table."""
-    for line in text.splitlines():
-        cols = line.split()
-        if len(cols) >= 3 and cols[0] == "MEAN" and cols[1] == scheme:
-            return float(cols[2])
-    return None
 
 
 def host_context():

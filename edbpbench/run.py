@@ -20,7 +20,6 @@ Workloads:
   solo_rfhome   six apps x {Baseline, Edbp, DecayEdbp, Ideal}, solo lanes,
                 Full scale, RFHome source seeded by --seed
   solo_thermal  the same matrix on the Thermal source
-  suite_small   cold `exp_all small --threads 2`, then warm `--expect-cached`
 """
 
 import argparse
@@ -28,7 +27,6 @@ import math
 import os
 import shutil
 import signal
-import statistics
 import subprocess
 import sys
 import time
@@ -43,12 +41,10 @@ WORK = ROOT / ".bench_work"
 # The energy-source seed `results/` was rendered with.
 DEFAULT_SEED = 42
 THREADS = 2
-SETUP_REPS = 21
-WARM_REPS = 31
 # Seconds a run may take after the build before it kills its children.
 DEADLINE_S = 170
 # The workloads BENCHMARK.json lists.
-WORKLOADS = ["solo_rfhome", "solo_thermal", "suite_small"]
+WORKLOADS = ["solo_rfhome", "solo_thermal"]
 
 LIVE = set()
 
@@ -115,7 +111,7 @@ def sim_env(results, runcache):
 
 def build():
     """Builds exp_all and the helper; returns their paths."""
-    for required in ["Cargo.toml", "crates/sim/Cargo.toml", "results/exp_fig08_performance.txt"]:
+    for required in ["Cargo.toml", "crates/sim/Cargo.toml"]:
         if not (ROOT / required).is_file():
             print(f"edbpbench: {required} not found; run from a checkout of the repository", file=sys.stderr)
             sys.exit(2)
@@ -168,18 +164,6 @@ class Bench:
         rec["proc"] = proc
         return rec
 
-    def suite_run(self, args, results, runcache, jobs, stem):
-        """Runs `exp_all` once; a non-zero exit or failed check fails all `jobs`."""
-        proc = run_cmd([self.exp_all, *args], self.log(stem), sim_env(results, runcache))
-        summary = bl.parse_suite_summary(proc.text)
-        ok = self.check(f"{stem} exit", proc.code == 0, f"exit {proc.code}:\n{proc.text[-2000:]}")
-        ok &= self.check(f"{stem} summary", summary is not None, "no suite summary line")
-        if summary:
-            ok &= self.check(f"{stem} failures", summary["failed"] == 0, f"{summary['failed']} failed")
-            ok &= self.check(f"{stem} requested", summary["requested"] == jobs, f"{summary['requested']} != {jobs}")
-        self.account(jobs, summary["failed"] if ok else jobs)
-        return proc, summary
-
     def same_figures(self, ours, reference, name):
         want = sorted(p.name for p in reference.glob("*.txt"))
         got = sorted(p.name for p in ours.glob("*.txt"))
@@ -191,56 +175,16 @@ class Bench:
     def solo(self, preset):
         args = ["solo", "--preset", preset, "--seed", self.seed, "--seconds", self.seconds]
         rec = self.helper(*args, *(["--trace"] if self.trace else []))
-        print(f"digest: {rec['info'].get('digest')} passes={rec['info'].get('passes', 0)}")
+        info = rec["info"]
+        print(f"digest: {info.get('digest')} passes={info.get('passes', 0)}")
         metrics = dict(rec["metrics"])
-        if self.trace:
+        if not self.trace:
+            print(f"solo: raw pass wall median {info.get('raw_wall_median')}, CPU hops {info.get('hops')}")
+        else:
             ref, printed = self.reference_tiny()
             metrics.update(self.suite_layers("tiny", ref, printed))
             metrics.update(self.fleet_pass(ref, printed["unique"]))
         return metrics
-
-    def setup(self, scale):
-        rec = self.helper("setup", "--scale", scale, "--reps", SETUP_REPS)
-        if "requested" not in rec["info"] or "setup_s" not in rec["metrics"]:
-            raise Abort("setup helper printed no plan")
-        return rec["metrics"]["setup_s"][0], int(rec["info"]["requested"]), int(rec["info"]["unique"])
-
-    def suite_pass(self, requested, unique):
-        start = time.monotonic()
-        results, runcache = fresh(WORK / "suite" / "results"), fresh(WORK / "suite" / "runcache")
-        args = ["small", "--threads", THREADS]
-        cold, summary = self.suite_run(args, results, runcache, requested, "suite-cold")
-        if summary:
-            self.check("suite-cold unique", summary["unique"] == unique, f"{summary['unique']} != {unique}")
-            self.check("suite-cold simulated", summary["simulated"] == unique, f"{summary['simulated']} simulated")
-        self.same_figures(results, ROOT / "results", "suite-cold figures identical to results/")
-        warm = []
-        for i in range(WARM_REPS):
-            proc, s = self.suite_run(args + ["--expect-cached"], results, runcache, requested, f"suite-warm{i}")
-            self.check("suite-warm simulated", s is not None and s["simulated"] == 0, "warm pass simulated")
-            warm.append(proc.cpu)
-        self.same_figures(results, ROOT / "results", "suite-warm figures identical to results/")
-        return {
-            "wall": cold.wall,
-            "cpu": cold.cpu,
-            "rss": cold.rss_mb,
-            "warm": statistics.median(warm),
-            "mips": self.committed("small", runcache) / cold.wall / 1e6,
-            "edbp": self.fig08_edbp(results),
-            "summary": summary,
-            "total": time.monotonic() - start,
-        }
-
-    def committed(self, scale, runcache):
-        """Simulated instructions of every unique job in a filled cache."""
-        rec = self.helper("suite-stats", "--scale", scale, "--dir", runcache)
-        return int(rec["info"].get("committed", 0))
-
-    def fig08_edbp(self, results):
-        path = results / "exp_fig08_performance.txt"
-        speedup = bl.fig08_mean_speedup(path.read_text()) if path.is_file() else None
-        self.check("fig08 edbp mean speedup", speedup is not None, f"no EDBP MEAN row in {path}")
-        return speedup or 0.0
 
     def reference_tiny(self):
         """The Tiny figures rendered, untimed, by the in-process executor."""
@@ -285,48 +229,6 @@ class Bench:
             "runner.worker.claim_useful_ratio": (completed / max(1, completed + busy), "ratio"),
         }
 
-    def repeat(self, one_pass):
-        """Passes of the workload until --seconds is used (at least one);
-        a traced run makes one."""
-        start, passes = time.monotonic(), []
-        while True:
-            passes.append(one_pass())
-            p = passes[-1]
-            print(f"pass {len(passes)}: wall={p['wall']:.3f}s cpu={p['cpu']:.3f}s warm_cpu={p['warm']:.4f}s")
-            if self.trace or time.monotonic() - start + passes[-1]["total"] > self.seconds:
-                print(f"passes: {len(passes)}")
-                return passes
-
-    @staticmethod
-    def e2e(passes, setup_s):
-        def med(key):
-            return statistics.median([p[key] for p in passes])
-
-        return {
-            "wall_s": (med("wall"), "s"),
-            "cpu_s": (med("cpu"), "s"),
-            "sim_mips": (med("mips"), "MIPS"),
-            "setup_s": (setup_s, "s"),
-            "peak_rss_mb": (max(p["rss"] for p in passes), "MiB"),
-            "warm_cpu_s": (med("warm"), "s"),
-            "edbp_speedup": (med("edbp"), "x"),
-        }
-
-    def suite_small(self):
-        setup_s, requested, unique = self.setup("small")
-        passes = self.repeat(lambda: self.suite_pass(requested, unique))
-        if not self.trace:
-            return self.e2e(passes, setup_s)
-        metrics = self.suite_layers("small", ROOT / "results", passes[0]["summary"])
-        metrics.update(self.layers("small"))
-        ref, printed = self.reference_tiny()
-        metrics.update(self.fleet_pass(ref, printed["unique"]))
-        return metrics
-
-    def layers(self, scale):
-        rec = self.helper("layers", "--preset", "rfhome", "--seed", self.seed, "--scale", scale)
-        return rec["metrics"]
-
     def suite_layers(self, scale, reference, printed):
         """Planner, runner and run-cache layers: the suite in-process at
         `scale`, its figures and counts reconciled with what `exp_all`
@@ -351,7 +253,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--workload", required=True, choices=WORKLOADS)
     ap.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    ap.add_argument("--seconds", type=int, default=35)
+    ap.add_argument("--seconds", type=int, default=55)
     ap.add_argument("--trace", type=int, choices=[0, 1], default=0)
     args = ap.parse_args(argv)
 
@@ -367,12 +269,7 @@ def main(argv=None):
     bench = Bench(exp_all, helper, args.seed, args.seconds, bool(args.trace))
     raw = {}
     try:
-        if args.workload == "solo_rfhome":
-            raw = bench.solo("rfhome")
-        elif args.workload == "solo_thermal":
-            raw = bench.solo("thermal")
-        else:
-            raw = bench.suite_small()
+        raw = bench.solo(args.workload.removeprefix("solo_"))
     except Abort as e:
         bench.problems.append(str(e))
     except KeyError as e:

@@ -13,6 +13,7 @@ import json
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,12 +32,15 @@ def main():
     for seed in args.seeds.split(","):
         cmd = [sys.executable, "edbpbench/run.py", "--workload", args.workload, "--seed", seed,
                "--seconds", str(seconds), "--trace", "0"]
+        start = time.monotonic()
         proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+        took = time.monotonic() - start
         last = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else "{}"
         result = json.loads(last) if last.startswith("{") else {}
         values_now = " ".join(f"{k}={m['value']:.4g}" for k, m in result.get("metrics", {}).items())
         steal = [line.rsplit(" ", 1)[-1] for line in proc.stdout.splitlines() if "steal during run" in line]
-        print(f"seed {seed}: exit {proc.returncode} correct={result.get('correct')} steal={steal} {values_now}",
+        print(f"seed {seed}: exit {proc.returncode} in {took:.0f}s correct={result.get('correct')} steal={steal} "
+              f"{values_now}",
               flush=True)
         if proc.returncode != 0:
             print(proc.stderr[-2000:], file=sys.stderr)

@@ -16,7 +16,8 @@ use ehs_sim::{
 use ehs_units::{Energy, Voltage};
 use ehs_workloads::{build, AppId, Scale, Workload};
 
-use crate::solo::{account_pass, run_pass, Pass, Spans};
+use crate::hop::Hopper;
+use crate::solo::{account_pass, run_pass, Best, Pass, Spans};
 use crate::{config_for, median, timed, Args, Out, APPS};
 
 /// Cycles per burst in the energy probe.
@@ -39,7 +40,13 @@ pub fn run(config: &SystemConfig, scale: Scale, out: &mut Out) {
     out.metric("workloads.build_ms", median(&builds) * 1e3, "ms");
 
     let mut spans = Spans::default();
-    let pass = run_pass(config, scale, Some(&mut spans));
+    let pass = run_pass(
+        config,
+        scale,
+        &Best::default(),
+        &mut Hopper::new(),
+        Some(&mut spans),
+    );
     account_pass(&pass, out);
     sim_matrix(&pass, &spans, out);
 

@@ -12,12 +12,11 @@
 //! Subcommands (all take `--work DIR`, a scratch directory they own):
 //!
 //! * `solo --preset P --seed N --seconds S [--trace]`: the solo matrix;
-//! * `setup --scale SCALE --reps K`: what `exp_all` does before its first job;
-//! * `suite-stats --scale SCALE --dir D`: simulated instructions in a filled cache;
 //! * `suite-trace --scale SCALE --threads T --figs D`: the suite in-process;
 //! * `runcache-probe --scale SCALE --dir D`: store/load/claim/journal costs;
 //! * `layers --preset P --seed N --scale SCALE`: per-layer probes.
 
+mod hop;
 mod layers;
 mod resources;
 mod solo;
@@ -196,7 +195,7 @@ impl Args {
 fn usage(msg: &str) -> ! {
     eprintln!("edbpbench: {msg}");
     eprintln!(
-        "usage: edbpbench <solo|setup|suite-stats|suite-trace|runcache-probe|layers> \
+        "usage: edbpbench <solo|suite-trace|runcache-probe|layers> \
          --work DIR [options]"
     );
     std::process::exit(2);
@@ -209,8 +208,6 @@ fn main() {
     let mut out = Out::default();
     match cmd.as_str() {
         "solo" => solo::main(&args, &mut out),
-        "setup" => suite::setup(&args, &mut out),
-        "suite-stats" => suite::stats(&args, &mut out),
         "suite-trace" => suite::trace(&args, &mut out),
         "runcache-probe" => suite::runcache_probe(&args, &mut out),
         "layers" => layers::main(&args, &mut out),

@@ -1,18 +1,15 @@
 //! The solo workloads: {six apps} × {Baseline, Edbp, DecayEdbp, Ideal} on
-//! one energy source, each run on its own lane (`build_lane` + `run_lane`),
-//! with no runner and no run cache.
+//! one energy source, each run on its own lane (`build_lane` +
+//! `advance_until`), with no runner and no run cache.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-use ehs_sim::runcache::RunCache;
-use ehs_sim::runner::effective_fingerprint;
-use ehs_sim::{
-    build_lane, record_generation_trace, run_lane, LaneRun, RunResult, Scheme, SystemConfig,
-};
+use ehs_sim::{build_lane, record_generation_trace, LaneRun, RunResult, Scheme, SystemConfig};
 use ehs_workloads::{build, AppId, Scale};
 
-use crate::{config_for, fresh_dir, median, resources, timed, Args, Out, APPS};
+use crate::hop::Hopper;
+use crate::{config_for, median, resources, timed, Args, Out, APPS};
 
 /// The schemes of the solo matrix.
 pub const SCHEMES: [Scheme; 4] = [
@@ -21,6 +18,10 @@ pub const SCHEMES: [Scheme; 4] = [
     Scheme::DecayEdbp,
     Scheme::Ideal,
 ];
+
+/// Committed instructions per timed slice of a lane: 1.5 to 3.5 ms of
+/// simulation, short against the host's speed phases (see `hop`).
+pub const SLICE: u64 = 50_000;
 
 /// Per-call spans of a traced pass.
 #[derive(Default)]
@@ -33,14 +34,19 @@ pub struct Spans {
 
 /// One pass over the matrix.
 pub struct Pass {
+    /// Seconds of each set-up step (per app: `build`, the oracle record,
+    /// four `build_lane`s), in order.
+    pub setup_steps: Vec<f64>,
     /// Building workloads, oracle traces and lanes.
     pub setup_s: f64,
     /// Running every lane.
     pub wall_s: f64,
-    /// Wall seconds of each lane's `run_lane`, matrix order.
+    /// Wall seconds of each lane's run, matrix order.
     pub lane_wall: Vec<f64>,
-    /// CPU seconds of each lane's `run_lane`, matrix order.
-    pub lane_cpu: Vec<f64>,
+    /// Wall seconds of each `SLICE` of each lane, matrix order.
+    pub slice_wall: Vec<Vec<f64>>,
+    /// Thread CPU seconds of each `SLICE` of each lane, matrix order.
+    pub slice_cpu: Vec<Vec<f64>>,
     /// `(app, scheme, result)` in matrix order; `None` if the run panicked.
     pub results: Vec<(AppId, Scheme, Option<RunResult>)>,
 }
@@ -64,21 +70,111 @@ impl Pass {
     }
 }
 
-/// Runs the matrix once at `scale`, timing each lane; with `spans`, also
-/// times every set-up call.
+/// Each sample's minimum over the passes so far, where a sample is a
+/// set-up step or a slice of a lane and every pass takes the same samples
+/// in the same order. A slice is short against the host's slow phases
+/// (see `hop`), so its minimum over passes seconds apart is its time in a
+/// fast phase unless every pass hit a slow phase there. Empty before the
+/// first pass.
+#[derive(Default)]
+pub struct Best {
+    setup: Vec<f64>,
+    wall: Vec<Vec<f64>>,
+    cpu: Vec<Vec<f64>>,
+    /// Whether every pass so far took the same samples.
+    pub aligned: bool,
+}
+
+impl Best {
+    /// Folds `pass` in.
+    pub fn update(&mut self, pass: &Pass) {
+        if self.wall.is_empty() {
+            self.setup.clone_from(&pass.setup_steps);
+            self.wall.clone_from(&pass.slice_wall);
+            self.cpu.clone_from(&pass.slice_cpu);
+            self.aligned = true;
+            return;
+        }
+        let shape = |v: &[Vec<f64>]| v.iter().map(Vec::len).collect::<Vec<_>>();
+        self.aligned &= self.setup.len() == pass.setup_steps.len()
+            && shape(&self.wall) == shape(&pass.slice_wall)
+            && shape(&self.cpu) == shape(&pass.slice_cpu);
+        fold_min(&mut self.setup, &pass.setup_steps);
+        for (b, x) in self.wall.iter_mut().zip(&pass.slice_wall) {
+            fold_min(b, x);
+        }
+        for (b, x) in self.cpu.iter_mut().zip(&pass.slice_cpu) {
+            fold_min(b, x);
+        }
+    }
+
+    /// Sums of the minima: (set-up, wall, CPU) seconds.
+    pub fn totals(&self) -> (f64, f64, f64) {
+        let sum = |v: &[Vec<f64>]| v.iter().flatten().sum::<f64>();
+        (self.setup.iter().sum(), sum(&self.wall), sum(&self.cpu))
+    }
+}
+
+fn fold_min(best: &mut [f64], xs: &[f64]) {
+    for (b, x) in best.iter_mut().zip(xs) {
+        *b = b.min(*x);
+    }
+}
+
+/// Runs `lane` to completion `SLICE` committed instructions at a time,
+/// pushing each slice's wall and thread CPU seconds and showing each to
+/// `hopper` beside `best`, the lane's per-slice minimum (empty on the
+/// first pass). Incremental `advance_until` is bit-identical to one
+/// uninterrupted run.
+fn run_sliced(
+    mut lane: Box<dyn LaneRun>,
+    best: &[f64],
+    hopper: &mut Hopper,
+    wall: &mut Vec<f64>,
+    cpu: &mut Vec<f64>,
+) -> RunResult {
+    let mut target = 0;
+    while !lane.done() {
+        target += SLICE;
+        let c = resources::thread_cpu_seconds();
+        let t = Instant::now();
+        lane.advance_until(target);
+        let w = t.elapsed().as_secs_f64();
+        cpu.push(resources::thread_cpu_seconds() - c);
+        hopper.sample(w, best.get(wall.len()));
+        wall.push(w);
+    }
+    lane.finish_collecting().result
+}
+
+/// Runs the matrix once at `scale`, timing each set-up step and each slice
+/// of each lane and showing each to `hopper` beside its `best`. With
+/// `spans`, also records the set-up calls by kind.
 #[allow(clippy::type_complexity)]
-pub fn run_pass(config: &SystemConfig, scale: Scale, mut spans: Option<&mut Spans>) -> Pass {
-    let setup_start = Instant::now();
+pub fn run_pass(
+    config: &SystemConfig,
+    scale: Scale,
+    best: &Best,
+    hopper: &mut Hopper,
+    mut spans: Option<&mut Spans>,
+) -> Pass {
+    let mut setup_steps = Vec::new();
+    let mut step = |t: f64, hopper: &mut Hopper| {
+        hopper.sample(t, best.setup.get(setup_steps.len()));
+        setup_steps.push(t);
+    };
     // `None` marks a lane whose set-up failed; its run counts as failed.
     let mut lanes: Vec<(AppId, Scheme, Option<Box<dyn LaneRun>>)> = Vec::new();
     for app in APPS {
-        let workload = build(app, scale);
+        let (t, workload) = timed(|| build(app, scale));
+        step(t, hopper);
         let (t, trace) = timed(|| {
             catch_unwind(AssertUnwindSafe(|| {
                 record_generation_trace(config, workload.clone())
             }))
             .ok()
         });
+        step(t, hopper);
         if let Some(s) = spans.as_deref_mut() {
             s.oracle_record.push(t);
         }
@@ -94,42 +190,42 @@ pub fn run_pass(config: &SystemConfig, scale: Scale, mut spans: Option<&mut Span
                 }
                 build_lane(config, scheme, workload.clone(), oracle, false).ok()
             });
+            step(t, hopper);
             if let Some(s) = spans.as_deref_mut() {
                 s.lane_build.push(t);
             }
             lanes.push((app, scheme, lane));
         }
     }
-    let setup_s = setup_start.elapsed().as_secs_f64();
 
     let start = Instant::now();
-    let (mut lane_wall, mut lane_cpu) = (Vec::new(), Vec::new());
+    let (mut slice_wall, mut slice_cpu, mut lane_wall) = (Vec::new(), Vec::new(), Vec::new());
     let mut results = Vec::with_capacity(lanes.len());
-    for (app, scheme, lane) in lanes {
-        let cpu = resources::thread_cpu_seconds();
+    for (i, (app, scheme, lane)) in lanes.into_iter().enumerate() {
+        let best = best.wall.get(i).map_or(&[][..], Vec::as_slice);
+        let (mut wall, mut cpu) = (Vec::new(), Vec::new());
         let (t, result) = timed(|| {
-            lane.and_then(|lane| catch_unwind(AssertUnwindSafe(|| run_lane(lane).result)).ok())
+            lane.and_then(|lane| {
+                catch_unwind(AssertUnwindSafe(|| {
+                    run_sliced(lane, best, hopper, &mut wall, &mut cpu)
+                }))
+                .ok()
+            })
         });
-        lane_cpu.push(resources::thread_cpu_seconds() - cpu);
         lane_wall.push(t);
+        slice_wall.push(wall);
+        slice_cpu.push(cpu);
         results.push((app, scheme, result));
     }
     Pass {
-        setup_s,
+        setup_s: setup_steps.iter().sum(),
+        setup_steps,
         wall_s: start.elapsed().as_secs_f64(),
         lane_wall,
-        lane_cpu,
+        slice_wall,
+        slice_cpu,
         results,
     }
-}
-
-/// One pass's time estimated robustly from several: the sum over lanes of
-/// each lane's median across `passes`, so a burst of host contention during
-/// one lane of one pass does not move it.
-fn lane_median_sum(passes: &[Pass], per_lane: impl Fn(&Pass) -> &Vec<f64>) -> f64 {
-    (0..per_lane(&passes[0]).len())
-        .map(|i| median(&passes.iter().map(|p| per_lane(p)[i]).collect::<Vec<_>>()))
-        .sum()
 }
 
 /// Checks every run of `pass` (completed, no brown-outs) and counts it. A
@@ -193,62 +289,6 @@ pub fn edbp_speedup(pass: &Pass) -> f64 {
     (logs.iter().sum::<f64>() / logs.len() as f64).exp()
 }
 
-/// The warm replay of the matrix: loading every result back from a run
-/// cache it was stored into, timed in thread CPU seconds. Sampled after
-/// every pass, so the samples span the run as the lane timings do.
-struct WarmReplay {
-    cache: RunCache,
-    keys: Vec<(u64, Scheme, AppId, RunResult)>,
-    times: Vec<f64>,
-    mismatched: usize,
-}
-
-impl WarmReplay {
-    fn new(config: &SystemConfig, pass: &Pass, dir: &std::path::Path) -> Self {
-        let cache = RunCache::new(fresh_dir(dir)).expect("solo warm-replay cache directory");
-        let keys: Vec<_> = pass
-            .results
-            .iter()
-            .filter_map(|(app, scheme, r)| {
-                Some((
-                    effective_fingerprint(config, *scheme),
-                    *scheme,
-                    *app,
-                    r.clone()?,
-                ))
-            })
-            .collect();
-        for (fp, scheme, app, r) in &keys {
-            cache.store(*fp, *scheme, *app, Scale::Full, r, None);
-        }
-        WarmReplay {
-            cache,
-            keys,
-            times: Vec::new(),
-            mismatched: 0,
-        }
-    }
-
-    fn sample(&mut self, reps: usize) {
-        for _ in 0..reps {
-            let cpu = resources::thread_cpu_seconds();
-            let loaded = {
-                self.keys
-                    .iter()
-                    .map(|&(fp, scheme, app, _)| self.cache.load(fp, scheme, app, Scale::Full))
-                    .collect::<Vec<_>>()
-            };
-            self.times.push(resources::thread_cpu_seconds() - cpu);
-            self.mismatched += self
-                .keys
-                .iter()
-                .zip(&loaded)
-                .filter(|((.., r), l)| l.as_ref().is_none_or(|l| l.result != *r))
-                .count();
-        }
-    }
-}
-
 /// The `solo` subcommand. A traced run makes the per-layer probes only.
 pub fn main(args: &Args, out: &mut Out) {
     let config = config_for(args.preset(), args.num("seed"));
@@ -257,36 +297,44 @@ pub fn main(args: &Args, out: &mut Out) {
         return;
     }
     let seconds: f64 = args.num("seconds");
-    let work = args.work();
     let start = Instant::now();
-    let mut passes: Vec<Pass> = Vec::new();
-    let mut warm: Option<WarmReplay> = None;
+    let (mut hopper, mut best) = (Hopper::new(), Best::default());
+    let (mut first, mut digests, mut raw) = (None, Vec::new(), Vec::new());
     loop {
-        let pass = run_pass(&config, Scale::Full, None);
+        let pass = run_pass(&config, Scale::Full, &best, &mut hopper, None);
+        best.update(&pass);
         let pass_s = pass.setup_s + pass.wall_s;
         out.info(
             "pass",
             format!("wall={:.4}s setup={:.4}s", pass.wall_s, pass.setup_s),
         );
         account_pass(&pass, out);
-        warm.get_or_insert_with(|| WarmReplay::new(&config, &pass, &work.join("solo-cache")))
-            .sample(11);
-        passes.push(pass);
+        digests.push(digest(&pass));
+        raw.push(pass.wall_s);
+        first.get_or_insert(pass);
         if start.elapsed().as_secs_f64() + pass_s > seconds {
             break;
         }
     }
-    let digests: Vec<u64> = passes.iter().map(digest).collect();
     out.check(
         "solo.deterministic",
         digests.iter().all(|&d| d == digests[0]),
-        format!("{} pass(es)", passes.len()),
+        format!("{} pass(es)", digests.len()),
+    );
+    out.check(
+        "solo.slices_aligned",
+        best.aligned,
+        "passes timed different numbers of slices or set-up steps",
     );
     out.info("digest", format!("{:016x}", digests[0]));
-    out.info("passes", passes.len());
-    let first = &passes[0];
-    let wall = lane_median_sum(&passes, |p| &p.lane_wall);
-    let setup: Vec<f64> = passes.iter().map(|p| p.setup_s).collect();
+    out.info("passes", digests.len());
+    out.info("raw_wall_median", format!("{:.4}s", median(&raw)));
+    out.info(
+        "hops",
+        format!("{} between {} CPUs", hopper.hops, hopper.cpus()),
+    );
+    let first = first.expect("at least one pass");
+    let (setup, wall, cpu) = best.totals();
     out.info("committed", first.committed());
     out.info(
         "outages",
@@ -297,17 +345,10 @@ pub fn main(args: &Args, out: &mut Out) {
             .map(|r| r.outages)
             .sum::<u64>(),
     );
-    let warm = warm.expect("at least one pass");
-    out.check(
-        "solo.warm_replay_identical",
-        warm.mismatched == 0,
-        format!("{} mismatched loads", warm.mismatched),
-    );
     out.metric("wall_s", wall, "s");
-    out.metric("cpu_s", lane_median_sum(&passes, |p| &p.lane_cpu), "s");
+    out.metric("cpu_s", cpu, "s");
     out.metric("sim_mips", first.committed() as f64 / wall / 1e6, "MIPS");
-    out.metric("setup_s", median(&setup), "s");
-    out.metric("warm_cpu_s", median(&warm.times), "s");
+    out.metric("setup_s", setup, "s");
     out.metric("peak_rss_mb", resources::peak_rss_mib(), "MiB");
-    out.metric("edbp_speedup", edbp_speedup(first), "x");
+    out.metric("edbp_speedup", edbp_speedup(&first), "x");
 }

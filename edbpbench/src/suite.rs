@@ -1,5 +1,5 @@
-//! Suite-level subcommands: `exp_all`'s set-up, and the planner, runner and
-//! run-cache layers driven in-process through their public functions.
+//! Suite-level subcommands: the planner, runner and run-cache layers
+//! driven in-process through their public functions.
 
 use std::path::Path;
 
@@ -18,60 +18,10 @@ use crate::{fresh_dir, median, timed, Args, Out};
 /// Entries the run-cache probe stores, loads, claims and journals.
 const PROBE_ENTRIES: usize = 300;
 
-/// The `setup` subcommand: `plan_suite` + `unique_jobs` + opening and
-/// compacting a run cache on an empty directory, the work `exp_all` does
-/// before its first job. Median of `--reps` repetitions.
-pub fn setup(args: &Args, out: &mut Out) {
-    let scale = args.scale();
-    let reps: usize = args.num("reps");
-    let plan = plan_suite(scale);
-    out.info("requested", plan.jobs.len());
-    out.info("unique", unique_jobs(&plan.jobs).len());
-    let mut times = Vec::with_capacity(reps);
-    for i in 0..reps {
-        let dir = fresh_dir(&args.work().join(format!("setup-{i}")));
-        let (t, unique) = timed(|| {
-            let plan = plan_suite(scale);
-            let unique = unique_jobs(&plan.jobs);
-            let cache = RunCache::new(&dir).expect("empty run-cache directory");
-            cache
-                .compact_journal()
-                .expect("compacting an empty journal");
-            unique.len()
-        });
-        times.push(t);
-        out.account(1, u64::from(unique == 0));
-    }
-    out.metric("setup_s", median(&times), "s");
-}
-
 /// A job's run-cache key.
 fn entry_key(job: &Job) -> (u64, Scheme, AppId, Scale) {
     let fp = effective_fingerprint(&job.config, job.scheme);
     (fp, job.scheme, job.app, job.scale)
-}
-
-/// The `suite-stats` subcommand: loads every unique job of the suite from
-/// a filled cache directory and sums the simulated instructions.
-pub fn stats(args: &Args, out: &mut Out) {
-    let cache = RunCache::new(args.get("dir")).expect("suite cache directory");
-    let plan = plan_suite(args.scale());
-    let unique = unique_jobs(&plan.jobs);
-    let (mut committed, mut missing) = (0u64, 0usize);
-    for job in &unique {
-        let (fp, scheme, app, scale) = entry_key(job);
-        match cache.load(fp, scheme, app, scale) {
-            Some(c) => committed += c.result.committed,
-            None => missing += 1,
-        }
-    }
-    out.check(
-        "suite.entries_loadable",
-        missing == 0,
-        format!("{missing} of {} missing", unique.len()),
-    );
-    out.info("committed", committed);
-    out.info("unique", unique.len());
 }
 
 /// The `suite-trace` subcommand: the suite in-process with a fresh run
