@@ -5,7 +5,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-use ehs_sim::{build_lane, record_generation_trace, LaneRun, RunResult, Scheme, SystemConfig};
+use ehs_sim::{build_lane, LaneRun, RunOutcome, RunResult, Scheme, SystemConfig};
 use ehs_workloads::{build, AppId, Scale};
 
 use crate::hop::Hopper;
@@ -34,8 +34,9 @@ pub struct Spans {
 
 /// One pass over the matrix.
 pub struct Pass {
-    /// Seconds of each set-up step (per app: `build`, the oracle record,
-    /// four `build_lane`s), in order.
+    /// Seconds of each set-up step (per app: `build`, building the oracle
+    /// record's lane, each `SLICE` of the oracle record, four
+    /// `build_lane`s), in order.
     pub setup_steps: Vec<f64>,
     /// Building workloads, oracle traces and lanes.
     pub setup_s: f64,
@@ -125,14 +126,14 @@ fn fold_min(best: &mut [f64], xs: &[f64]) {
 /// pushing each slice's wall and thread CPU seconds and showing each to
 /// `hopper` beside `best`, the lane's per-slice minimum (empty on the
 /// first pass). Incremental `advance_until` is bit-identical to one
-/// uninterrupted run.
+/// uninterrupted run (`run_lane`).
 fn run_sliced(
     mut lane: Box<dyn LaneRun>,
     best: &[f64],
     hopper: &mut Hopper,
     wall: &mut Vec<f64>,
     cpu: &mut Vec<f64>,
-) -> RunResult {
+) -> RunOutcome {
     let mut target = 0;
     while !lane.done() {
         target += SLICE;
@@ -144,7 +145,7 @@ fn run_sliced(
         hopper.sample(w, best.get(wall.len()));
         wall.push(w);
     }
-    lane.finish_collecting().result
+    lane.finish_collecting()
 }
 
 /// Runs the matrix once at `scale`, timing each set-up step and each slice
@@ -159,22 +160,33 @@ pub fn run_pass(
     mut spans: Option<&mut Spans>,
 ) -> Pass {
     let mut setup_steps = Vec::new();
-    let mut step = |t: f64, hopper: &mut Hopper| {
-        hopper.sample(t, best.setup.get(setup_steps.len()));
-        setup_steps.push(t);
+    let step = |steps: &mut Vec<f64>, t: f64, hopper: &mut Hopper| {
+        hopper.sample(t, best.setup.get(steps.len()));
+        steps.push(t);
     };
     // `None` marks a lane whose set-up failed; its run counts as failed.
     let mut lanes: Vec<(AppId, Scheme, Option<Box<dyn LaneRun>>)> = Vec::new();
     for app in APPS {
         let (t, workload) = timed(|| build(app, scale));
-        step(t, hopper);
+        step(&mut setup_steps, t, hopper);
+        // Ideal's oracle pass: `record_generation_trace`, which is a
+        // recording Baseline lane run to completion, here run in slices.
         let (t, trace) = timed(|| {
-            catch_unwind(AssertUnwindSafe(|| {
-                record_generation_trace(config, workload.clone())
-            }))
-            .ok()
+            let (t, lane) =
+                timed(|| build_lane(config, Scheme::Baseline, workload.clone(), None, true));
+            step(&mut setup_steps, t, hopper);
+            let best = best.setup.get(setup_steps.len()..).unwrap_or_default();
+            let mut slices = Vec::new();
+            let trace = lane.ok().and_then(|lane| {
+                catch_unwind(AssertUnwindSafe(|| {
+                    run_sliced(lane, best, hopper, &mut slices, &mut Vec::new()).trace
+                }))
+                .ok()
+                .flatten()
+            });
+            setup_steps.extend(slices);
+            trace
         });
-        step(t, hopper);
         if let Some(s) = spans.as_deref_mut() {
             s.oracle_record.push(t);
         }
@@ -190,7 +202,7 @@ pub fn run_pass(
                 }
                 build_lane(config, scheme, workload.clone(), oracle, false).ok()
             });
-            step(t, hopper);
+            step(&mut setup_steps, t, hopper);
             if let Some(s) = spans.as_deref_mut() {
                 s.lane_build.push(t);
             }
@@ -207,7 +219,7 @@ pub fn run_pass(
         let (t, result) = timed(|| {
             lane.and_then(|lane| {
                 catch_unwind(AssertUnwindSafe(|| {
-                    run_sliced(lane, best, hopper, &mut wall, &mut cpu)
+                    run_sliced(lane, best, hopper, &mut wall, &mut cpu).result
                 }))
                 .ok()
             })
