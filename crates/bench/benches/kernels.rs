@@ -11,13 +11,10 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 use edbp_core::{
     FxHashMap, LeakagePredictor, OraclePredictor, OracleRecorder, PagedTable, TickOutcome,
 };
-use ehs_cache::probe::{
-    avx2_available, force_impl, probe, probe_portable, probe_scalar, ProbeImpl,
-};
+use ehs_cache::probe::{probe_portable, probe_scalar};
 use ehs_cache::{AccessKind, BlockId, Cache, CacheConfig, ReplacementPolicy};
 use ehs_sim::{
-    build_lane, record_generation_trace, run_lane, run_lockstep_with, LockstepMode, Scheme,
-    Simulation, SystemConfig,
+    build_lane, record_generation_trace, run_lane, run_lockstep, Scheme, Simulation, SystemConfig,
 };
 use ehs_units::Voltage;
 use ehs_workloads::{build, AppId, Scale};
@@ -27,9 +24,8 @@ const BLOCK: u64 = 16;
 
 /// The wide tag probe against its scalar reference, per associativity.
 /// Every d-cache access pays exactly one of these; the portable path is
-/// written to autovectorize, the AVX2 path is explicit `core::arch` behind
-/// runtime detection. The mix alternates hits and misses so the comparison
-/// outcome is not branch-predictable into irrelevance.
+/// written to autovectorize. The mix alternates hits and misses so the
+/// comparison outcome is not branch-predictable into irrelevance.
 fn tag_probe(c: &mut Criterion) {
     const PROBES: u64 = 1024;
     let mut group = c.benchmark_group("tag_probe");
@@ -56,19 +52,6 @@ fn tag_probe(c: &mut Criterion) {
                 acc
             })
         });
-        if avx2_available() {
-            force_impl(Some(ProbeImpl::Avx2));
-            group.bench_function(&format!("avx2_w{ways}"), |b| {
-                b.iter(|| {
-                    let mut acc = 0u32;
-                    for i in 0..PROBES {
-                        acc ^= probe(black_box(&tags), black_box(needle(i)));
-                    }
-                    acc
-                })
-            });
-            force_impl(None);
-        }
     }
     group.finish();
 }
@@ -285,9 +268,8 @@ fn dispatch_dyn_vs_mono(c: &mut Criterion) {
 }
 
 /// Lockstep amortization: the same bounded workload replayed by 1, 4 and 9
-/// scheme lanes, in both group drives — interleaved (each lane decodes and
-/// steps the core itself) and transposed (the lead lane records its
-/// instruction stream; siblings replay it without touching the core).
+/// scheme lanes (the lead lane records its instruction stream; siblings
+/// replay it without touching the core).
 /// Throughput counts *total* committed instructions, so the wide rosters
 /// show how much per-instruction cost the shared stream amortizes away.
 fn lockstep_scaling(c: &mut Criterion) {
@@ -318,19 +300,14 @@ fn lockstep_scaling(c: &mut Criterion) {
         ("lanes_9", &Scheme::ALL[..]),
     ] {
         group.throughput(Throughput::Elements(BUDGET * schemes.len() as u64));
-        for (mode_label, mode) in [
-            ("interleaved", LockstepMode::Interleaved),
-            ("transposed", LockstepMode::Transposed),
-        ] {
-            group.bench_function(&format!("{mode_label}_{label}"), |b| {
-                b.iter(|| {
-                    run_lockstep_with(lanes(schemes), mode)
-                        .iter()
-                        .map(|o| o.result.committed)
-                        .sum::<u64>()
-                })
-            });
-        }
+        group.bench_function(&format!("transposed_{label}"), |b| {
+            b.iter(|| {
+                run_lockstep(lanes(schemes))
+                    .iter()
+                    .map(|o| o.result.committed)
+                    .sum::<u64>()
+            })
+        });
     }
     group.finish();
 }

@@ -450,8 +450,8 @@ impl Cache {
 
         // Wide probe: empty (invalid or gated) frames hold TAG_NONE, so a
         // tag match is a powered, valid hit — no mask check needed, and the
-        // whole set compares in one SIMD op (scalar reference under
-        // EHS_NO_SIMD=1; see the `probe` module).
+        // whole set compares in a few autovectorized ops (see the `probe`
+        // module).
         let match_mask = crate::probe::probe(&self.tags[base..base + usize::from(ways)], tag);
         if match_mask != 0 {
             let way_idx = match_mask.trailing_zeros() as u8;

@@ -207,9 +207,8 @@ pub struct EnergySystem {
 
 /// Process-wide speculation default: `EHS_NO_SPECULATE=1` forces the guarded
 /// per-cycle path for every [`EnergySystem`] that does not override it via
-/// [`EnergySystem::set_speculation`]. Read once per process, mirroring the
-/// `EHS_NO_SIMD` pattern in `ehs_cache::probe`; tests use the per-system
-/// override instead of mutating the environment.
+/// [`EnergySystem::set_speculation`]. Read once per process; tests use the
+/// per-system override instead of mutating the environment.
 fn speculation_default() -> bool {
     static DEFAULT: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *DEFAULT.get_or_init(|| std::env::var_os("EHS_NO_SPECULATE").is_none_or(|v| v != "1"))

@@ -45,13 +45,11 @@
 //! observed under different predictors. [`try_run_jobs_outputs`] detects
 //! such partitions with at least two distinct schemes and runs them as a
 //! **lockstep group**: one fully monomorphized lane per scheme (see
-//! [`crate::build_lane`]), all lanes advancing over the shared workload in
-//! committed-instruction rounds. Because [`Simulation::advance_until`]
-//! never truncates a burst at its target, every lane's result is
-//! bit-identical to an independent run (the `lockstep` differential suite
-//! asserts it). The `Ideal` scheme never joins a group — its oracle pass
-//! resolves through the baseline's memoized trace as before. Setting the
-//! environment variable [`NO_LOCKSTEP_ENV`]`=1` disables grouping.
+//! [`crate::build_lane`]), driven through the same round protocol as
+//! [`crate::run_lockstep`], so every lane's result is bit-identical to an
+//! independent run (the `lockstep` differential suite asserts it). The
+//! `Ideal` scheme never joins a group — its oracle pass resolves through
+//! the baseline's memoized trace as before.
 //!
 //! Execution is gated by a process-wide *claim table*, not by the memo
 //! slots themselves: whoever claims a key (a singleton job or one lane of
@@ -70,7 +68,8 @@
 //! fault-injection harness ([`crate::fault`]) exercises these paths.
 
 use crate::{
-    config_fingerprint, fault, runcache, LaneRun, RunResult, Scheme, SystemConfig, ZombieSample,
+    config_fingerprint, fault, runcache, LaneRun, RunOutcome, RunResult, Scheme, SystemConfig,
+    ZombieSample,
 };
 use edbp_core::{EdbpConfig, GenerationTrace};
 use ehs_cache::Cache;
@@ -215,12 +214,32 @@ pub fn effective_fingerprint(config: &SystemConfig, scheme: Scheme) -> u64 {
     config_fingerprint(config)
 }
 
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 struct MemoKey {
     config_fp: u64,
     scheme: Scheme,
     app: AppId,
     scale: Scale,
+}
+
+impl MemoKey {
+    fn new(config: &SystemConfig, scheme: Scheme, app: AppId, scale: Scale) -> Self {
+        Self {
+            config_fp: effective_fingerprint(config, scheme),
+            scheme,
+            app,
+            scale,
+        }
+    }
+
+    fn of(job: &Job) -> Self {
+        Self::new(&job.config, job.scheme, job.app, job.scale)
+    }
+
+    /// The key's persistent-cache entry stem (see [`runcache::entry_stem`]).
+    fn stem(&self) -> String {
+        runcache::entry_stem(self.config_fp, self.scheme, self.app, self.scale)
+    }
 }
 
 struct MemoEntry {
@@ -233,6 +252,31 @@ struct MemoEntry {
     /// Zombie samples; `Some` exactly when the config was instrumented
     /// ([`SystemConfig::zombie_sample_interval`]).
     zombies: Option<Arc<Vec<ZombieSample>>>,
+}
+
+impl MemoEntry {
+    /// The entry a fresh execution under `config` produced.
+    fn from_outcome(outcome: RunOutcome, config: &SystemConfig) -> Self {
+        MemoEntry {
+            result: outcome.result,
+            trace: match outcome.trace {
+                Some(t) => OnceLock::from(Arc::new(t)),
+                None => OnceLock::new(),
+            },
+            zombies: config
+                .zombie_sample_interval
+                .is_some()
+                .then(|| Arc::new(outcome.zombie_samples)),
+        }
+    }
+
+    /// The entry as a job's output, `sim_mips` included.
+    fn output(&self) -> JobOutput {
+        JobOutput {
+            result: self.result.clone(),
+            zombie_samples: self.zombies.clone(),
+        }
+    }
 }
 
 type Slot = Arc<OnceLock<MemoEntry>>;
@@ -317,8 +361,8 @@ fn claim_blocking(slot: &Slot, key: &MemoKey) -> Option<KeyClaim> {
             return None;
         }
         if !held.contains(key) {
-            held.insert(key.clone());
-            return Some(KeyClaim { key: key.clone() });
+            held.insert(*key);
+            return Some(KeyClaim { key: *key });
         }
         held = table
             .freed
@@ -339,8 +383,8 @@ fn claim_now(slot: &Slot, key: &MemoKey) -> Option<KeyClaim> {
     if slot.get().is_some() || held.contains(key) {
         return None;
     }
-    held.insert(key.clone());
-    Some(KeyClaim { key: key.clone() })
+    held.insert(*key);
+    Some(KeyClaim { key: *key })
 }
 
 /// Built workloads, one per (app, scale). Synthesizing an instruction trace
@@ -358,12 +402,7 @@ pub(crate) fn cached_workload(app: AppId, scale: Scale) -> Workload {
 }
 
 fn baseline_key(config: &SystemConfig, app: AppId, scale: Scale) -> MemoKey {
-    MemoKey {
-        config_fp: effective_fingerprint(config, Scheme::Baseline),
-        scheme: Scheme::Baseline,
-        app,
-        scale,
-    }
+    MemoKey::new(config, Scheme::Baseline, app, scale)
 }
 
 /// Marks the baseline runs whose traces the given jobs' Ideal runs consume.
@@ -400,17 +439,16 @@ pub fn executed_entry_stems() -> Vec<String> {
         .unwrap_or_default()
 }
 
-fn record_executed(config_fp: u64, scheme: Scheme, app: AppId, scale: Scale) {
-    lock_unpoisoned(EXECUTED_STEMS.get_or_init(Mutex::default))
-        .push(runcache::entry_stem(config_fp, scheme, app, scale));
+fn record_executed(key: &MemoKey) {
+    lock_unpoisoned(EXECUTED_STEMS.get_or_init(Mutex::default)).push(key.stem());
 }
 
-/// Performs one real simulation for the memo table (never consults it).
-fn execute(config: &SystemConfig, scheme: Scheme, app: AppId, scale: Scale) -> MemoEntry {
+/// Builds the lane that executes `key` for the memo table (never consults
+/// it) and counts the execution.
+fn build_execution(config: &SystemConfig, key: &MemoKey) -> Box<dyn LaneRun> {
     fault::on_execute(config.zombie_sample_interval.is_some());
     SIM_EXECUTIONS.fetch_add(1, Ordering::Relaxed);
-    let workload = cached_workload(app, scale);
-    let (oracle_trace, with_recorder) = match scheme {
+    let (oracle_trace, with_recorder) = match key.scheme {
         Scheme::Baseline => {
             BASELINE_EXECUTIONS.fetch_add(1, Ordering::Relaxed);
             // Record the generation trace iff some planned Ideal job consumes
@@ -418,30 +456,24 @@ fn execute(config: &SystemConfig, scheme: Scheme, app: AppId, scale: Scale) -> M
             // execution doubles as the oracle pass). Unwanted traces are
             // skipped: recording and retaining them for every baseline in
             // the suite costs time and memory for nothing.
-            (None, trace_wanted(&baseline_key(config, app, scale)))
+            (None, trace_wanted(key))
         }
         Scheme::Ideal => {
             // The oracle pass is a baseline run — share it through the
             // cache instead of executing a private one.
-            let trace = baseline_trace(config, app, scale);
+            let trace = baseline_trace(config, key.app, key.scale);
             (Some((*trace).clone()), false)
         }
         _ => (None, false),
     };
-    let lane = crate::build_lane(config, scheme, workload, oracle_trace, with_recorder)
-        .unwrap_or_else(|e| panic!("invalid energy configuration: {e}"));
-    let outcome = crate::run_lane(lane);
-    MemoEntry {
-        result: outcome.result,
-        trace: match outcome.trace {
-            Some(t) => OnceLock::from(Arc::new(t)),
-            None => OnceLock::new(),
-        },
-        zombies: config
-            .zombie_sample_interval
-            .is_some()
-            .then(|| Arc::new(outcome.zombie_samples)),
-    }
+    let workload = cached_workload(key.app, key.scale);
+    crate::build_lane(config, key.scheme, workload, oracle_trace, with_recorder)
+        .unwrap_or_else(|e| panic!("invalid energy configuration: {e}"))
+}
+
+/// Performs one real simulation for the memo table (never consults it).
+fn execute(config: &SystemConfig, key: &MemoKey) -> MemoEntry {
+    MemoEntry::from_outcome(crate::run_lane(build_execution(config, key)), config)
 }
 
 /// How long to wait for another process's claimed entry to land before
@@ -457,6 +489,119 @@ fn entry_from_hit(hit: runcache::CachedRun) -> MemoEntry {
     }
 }
 
+/// The unique producer of one memo key: it holds the in-process claim and,
+/// with a persistent cache, the key's disk lease. Dropping it — also by
+/// unwinding — releases both, the lease first, so a producer that panicked
+/// leaves the key retryable with its slot empty.
+struct Producer {
+    _lease: Option<runcache::LeaseGuard>,
+    _claim: KeyClaim,
+}
+
+/// The "memo claim → disk load → lease → re-check" sequence for one key.
+/// Returns the key's [`Producer`] when the caller must execute it, and
+/// `None` when the slot is filled — from memory, from `disk`, or by the
+/// producer the caller waited for — or when `wait` is off and someone else
+/// is producing the key.
+///
+/// `disk` is the persistent cache to consult: `None` without one, or when
+/// the caller already holds the key's lease. With `wait`, the caller blocks
+/// on an in-process producer, and gives another process's lease up to
+/// [`CLAIM_WAIT`] to land its store before producing the key itself.
+/// Without it the key is left to its producer: lockstep groups must never
+/// block while holding other lanes' claims (no lock-order cycles between
+/// groups that share keys).
+fn acquire(
+    key: &MemoKey,
+    slot: &Slot,
+    disk: Option<&runcache::RunCache>,
+    wait: bool,
+) -> Option<Producer> {
+    if slot.get().is_some() {
+        return None;
+    }
+    let claim = if wait {
+        claim_blocking(slot, key)
+    } else {
+        claim_now(slot, key)
+    }?;
+    let mut lease = None;
+    if let Some(cache) = disk {
+        let MemoKey {
+            config_fp,
+            scheme,
+            app,
+            scale,
+        } = *key;
+        let fill = |hit| {
+            let _ = slot.set(entry_from_hit(hit));
+        };
+        if let Some(hit) = cache.load(config_fp, scheme, app, scale) {
+            fill(hit);
+            return None;
+        }
+        match cache.claim(config_fp, scheme, app, scale) {
+            runcache::ClaimOutcome::Held(guard) => {
+                // Re-check under the lease: a rival process may have
+                // stored (and journaled) this entry between our load
+                // check and the claim.
+                if let Some(hit) = cache.load(config_fp, scheme, app, scale) {
+                    drop(guard);
+                    fill(hit);
+                    return None;
+                }
+                lease = Some(guard);
+            }
+            runcache::ClaimOutcome::Busy if !wait => return None,
+            runcache::ClaimOutcome::Busy => {
+                if let Some(hit) = cache.wait_for_entry(config_fp, scheme, app, scale, CLAIM_WAIT) {
+                    fill(hit);
+                    return None;
+                }
+            }
+            runcache::ClaimOutcome::Unavailable => {}
+        }
+    }
+    Some(Producer {
+        _lease: lease,
+        _claim: claim,
+    })
+}
+
+/// The "store → journal if durable" sequence. Journals only a store that
+/// landed: the resume contract promises a journaled job replays from disk,
+/// so a failed store must not be journaled. Returns whether it landed.
+fn persist(cache: &runcache::RunCache, key: &MemoKey, entry: &MemoEntry) -> bool {
+    let stored = cache.store(
+        key.config_fp,
+        key.scheme,
+        key.app,
+        key.scale,
+        &entry.result,
+        entry.zombies.as_deref().map(Vec::as_slice),
+    );
+    if stored {
+        cache.journal_append(&key.stem());
+    }
+    stored
+}
+
+/// Publishes a freshly executed entry: records the execution, persists it
+/// to `disk` (if any), then fills the slot. The caller still holds the key's
+/// [`Producer`], so waiters find the slot filled once it drops. Returns
+/// whether the store landed.
+fn publish(
+    disk: Option<&runcache::RunCache>,
+    key: &MemoKey,
+    slot: &Slot,
+    entry: MemoEntry,
+) -> bool {
+    record_executed(key);
+    let stored = disk.is_some_and(|cache| persist(cache, key, &entry));
+    let _ = slot.set(entry);
+    stored
+}
+
 /// Resolves one key: memo table first, then the persistent cache (if one
 /// is installed), then a real execution (stored back to the persistent
 /// cache). Returns the initialized slot plus whether *this call* simulated.
@@ -466,86 +611,25 @@ fn entry_from_hit(hit: runcache::CachedRun) -> MemoEntry {
 /// the entry before simulating; finding someone else's fresh claim waits
 /// briefly for their store to land instead of duplicating the run.
 fn resolve(config: &SystemConfig, scheme: Scheme, app: AppId, scale: Scale) -> (Slot, bool) {
-    let config_fp = effective_fingerprint(config, scheme);
-    let key = MemoKey {
-        config_fp,
-        scheme,
-        app,
-        scale,
-    };
-    let slot = memo_slot(key.clone());
-    if slot.get().is_some() {
-        return (slot, false);
-    }
-    let Some(claim) = claim_blocking(&slot, &key) else {
-        // Filled while we waited for the producer.
+    let key = MemoKey::new(config, scheme, app, scale);
+    let slot = memo_slot(key);
+    let disk = runcache::active();
+    let Some(producer) = acquire(&key, &slot, disk, true) else {
         return (slot, false);
     };
-    // We hold the claim over an empty slot: produce the entry. (The claim
-    // releases on unwind too, so a panic here leaves the key retryable.)
-    let mut rc_claim = None;
-    if let Some(cache) = runcache::active() {
-        if let Some(hit) = cache.load(config_fp, scheme, app, scale) {
-            let _ = slot.set(entry_from_hit(hit));
-            return (slot, false);
-        }
-        match cache.claim(config_fp, scheme, app, scale) {
-            runcache::ClaimOutcome::Held(guard) => {
-                // Re-check under the lease: a rival process may have
-                // stored (and journaled) this entry between our load
-                // check and the claim.
-                if let Some(hit) = cache.load(config_fp, scheme, app, scale) {
-                    drop(guard);
-                    let _ = slot.set(entry_from_hit(hit));
-                    return (slot, false);
-                }
-                rc_claim = Some(guard);
-            }
-            runcache::ClaimOutcome::Busy => {
-                if let Some(hit) = cache.wait_for_entry(config_fp, scheme, app, scale, CLAIM_WAIT) {
-                    let _ = slot.set(entry_from_hit(hit));
-                    return (slot, false);
-                }
-            }
-            runcache::ClaimOutcome::Unavailable => {}
-        }
-    }
-    let entry = execute(config, scheme, app, scale);
-    record_executed(config_fp, scheme, app, scale);
-    if let Some(cache) = runcache::active() {
-        let stored = cache.store(
-            config_fp,
-            scheme,
-            app,
-            scale,
-            &entry.result,
-            entry.zombies.as_deref().map(Vec::as_slice),
-        );
-        // Journal only durable entries: the resume contract promises a
-        // journaled job replays from disk, so a failed store must not
-        // be journaled.
-        if stored {
-            cache.journal_append(&runcache::entry_stem(config_fp, scheme, app, scale));
-        }
-    }
-    let _ = slot.set(entry);
-    drop(rc_claim);
-    drop(claim);
+    publish(disk, &key, &slot, execute(config, &key));
+    drop(producer);
     (slot, true)
 }
 
 /// Runs (or recalls) one job through the memoization table.
 fn run_cached(config: &SystemConfig, scheme: Scheme, app: AppId, scale: Scale) -> JobOutput {
     let (slot, ran_here) = resolve(config, scheme, app, scale);
-    let entry = slot.get().expect("slot was just resolved");
-    let mut result = entry.result.clone();
+    let mut output = slot.get().expect("slot was just resolved").output();
     if !ran_here {
-        result.sim_mips = 0.0;
+        output.result.sim_mips = 0.0;
     }
-    JobOutput {
-        result,
-        zombie_samples: entry.zombies.clone(),
-    }
+    output
 }
 
 /// The recorded trace of the memoized baseline run for this key (executing
@@ -619,15 +703,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Environment variable that, when set to `1`, disables lockstep grouping:
-/// every job simulates independently through the singleton path. The
-/// differential suites use this to compare the two regimes bit-for-bit.
-pub const NO_LOCKSTEP_ENV: &str = "EHS_NO_LOCKSTEP";
-
-fn lockstep_enabled() -> bool {
-    std::env::var_os(NO_LOCKSTEP_ENV).is_none_or(|v| v != "1")
-}
-
 /// One unit of worker-pool work: a single job, or a lockstep group of
 /// same-(config, app, scale) job indices spanning several schemes.
 enum WorkItem {
@@ -652,9 +727,6 @@ impl WorkItem {
 /// trace), and duplicate-scheme members ride along — the group's one lane
 /// per scheme serves them all through the memo table.
 fn plan_work(jobs: &[Job]) -> Vec<WorkItem> {
-    if !lockstep_enabled() {
-        return (0..jobs.len()).map(WorkItem::Single).collect();
-    }
     let mut order: Vec<(u64, AppId, Scale)> = Vec::new();
     let mut parts: HashMap<(u64, AppId, Scale), Vec<usize>> = HashMap::new();
     for (i, job) in jobs.iter().enumerate() {
@@ -713,309 +785,84 @@ fn run_single(job: &Job) -> Result<JobOutput, JobError> {
     .map_err(|payload| job_error(job, panic_message(payload)))
 }
 
-/// Committed-instruction chunk in which an interleaved lockstep group's
-/// lanes advance (the transposed drive rounds by the smaller
-/// [`crate::system::TRANSPOSED_CHUNK`]). Mirrors the granularity of
-/// [`crate::run_lockstep`]; the runner drives its own round loop so it can
-/// contain each lane's panics to that lane.
-const LOCKSTEP_CHUNK: u64 = 32_768;
-
 /// Executes one lockstep group: one fully monomorphized lane per distinct
-/// member scheme, all replaying the same shared workload in
-/// [`LOCKSTEP_CHUNK`]-instruction rounds. Per lane, the claim/memo/
+/// member scheme, all driven over the same shared workload by
+/// [`crate::system::drive_lockstep`]. Per lane, the claim/memo/
 /// persistent-cache protocol matches the singleton path exactly — a lane
 /// only simulates here if its key is unclaimed, unfilled and not on disk;
 /// anything already produced (or being produced elsewhere) is recalled
-/// through [`run_cached`] when the member outputs are read. A panicking
+/// through [`run_single`] when the member outputs are read. A panicking
 /// lane fails exactly its own scheme's jobs; sibling lanes complete.
 fn run_group(jobs: &[Job], members: &[usize]) -> Vec<(usize, Result<JobOutput, JobError>)> {
     let first = &jobs[members[0]];
     let (config, app, scale) = (&first.config, first.app, first.scale);
+    let disk = runcache::active();
 
-    // One lane per distinct scheme, in first-appearance order.
-    let mut schemes: Vec<Scheme> = Vec::new();
-    for &i in members {
-        if !schemes.contains(&jobs[i].scheme) {
-            schemes.push(jobs[i].scheme);
-        }
-    }
-
-    struct Lane {
-        scheme: Scheme,
-        key: MemoKey,
-        slot: Slot,
-        claim: KeyClaim,
-        rc_claim: Option<runcache::LeaseGuard>,
-        sim: Box<dyn LaneRun>,
-    }
-
-    let mut lanes: Vec<Option<Lane>> = Vec::new();
+    // Claim and build one lane per distinct scheme, in first-appearance order.
+    let mut producers = Vec::new();
+    let mut sims = Vec::new();
     let mut failures: HashMap<Scheme, String> = HashMap::new();
-    for &scheme in &schemes {
-        let config_fp = effective_fingerprint(config, scheme);
-        let key = MemoKey {
-            config_fp,
-            scheme,
-            app,
-            scale,
-        };
-        let slot = memo_slot(key.clone());
-        let Some(claim) = claim_now(&slot, &key) else {
-            continue; // produced (or claimed) elsewhere
-        };
-        let mut rc_claim = None;
-        if let Some(cache) = runcache::active() {
-            if let Some(hit) = cache.load(config_fp, scheme, app, scale) {
-                let _ = slot.set(entry_from_hit(hit));
-                continue;
-            }
-            match cache.claim(config_fp, scheme, app, scale) {
-                runcache::ClaimOutcome::Held(guard) => {
-                    // Re-check under the lease (see `resolve`): a rival
-                    // may have completed this key since our load check.
-                    if let Some(hit) = cache.load(config_fp, scheme, app, scale) {
-                        drop(guard);
-                        let _ = slot.set(entry_from_hit(hit));
-                        continue;
-                    }
-                    rc_claim = Some(guard);
-                }
-                // Another process is simulating this key; don't stall the
-                // whole group on it — the member output read waits instead.
-                runcache::ClaimOutcome::Busy => continue,
-                runcache::ClaimOutcome::Unavailable => {}
-            }
+    let mut seen = HashSet::new();
+    for &i in members {
+        let key = MemoKey::new(config, jobs[i].scheme, app, scale);
+        if !seen.insert(key.scheme) {
+            continue;
         }
-        let with_recorder = scheme == Scheme::Baseline && trace_wanted(&key);
-        match catch_unwind(AssertUnwindSafe(|| {
-            fault::on_execute(config.zombie_sample_interval.is_some());
-            SIM_EXECUTIONS.fetch_add(1, Ordering::Relaxed);
-            if scheme == Scheme::Baseline {
-                BASELINE_EXECUTIONS.fetch_add(1, Ordering::Relaxed);
+        let slot = memo_slot(key);
+        let Some(producer) = acquire(&key, &slot, disk, false) else {
+            continue; // produced (or being produced) elsewhere
+        };
+        match catch_unwind(AssertUnwindSafe(|| build_execution(config, &key))) {
+            Ok(sim) => {
+                producers.push((key, slot, producer));
+                sims.push(sim);
             }
-            crate::build_lane(
-                config,
-                scheme,
-                cached_workload(app, scale),
-                None,
-                with_recorder,
-            )
-            .unwrap_or_else(|e| panic!("invalid energy configuration: {e}"))
-        })) {
-            Ok(sim) => lanes.push(Some(Lane {
-                scheme,
-                key,
-                slot,
-                claim,
-                rc_claim,
-                sim,
-            })),
             Err(payload) => {
-                failures.insert(scheme, panic_message(payload));
+                failures.insert(key.scheme, panic_message(payload));
             }
         }
     }
 
-    // Drive the lanes in lockstep rounds. `advance_until` never truncates
-    // a burst at its target, so each lane's event stream — and therefore
-    // its result — is bit-identical to an uninterrupted independent run;
-    // the transposed mode preserves that bit-for-bit through stream replay
-    // (see `Simulation::advance_replay`). Each lane's panics stay contained
-    // to that lane in both modes; a recorder panic additionally discards
-    // the round's half-recorded window, costing the siblings one replay
-    // opportunity and nothing else.
-    let wall_start = std::time::Instant::now();
-    match crate::default_lockstep_mode() {
-        crate::LockstepMode::Interleaved => {
-            let mut target = LOCKSTEP_CHUNK;
-            loop {
-                let mut all_done = true;
-                for entry in &mut lanes {
-                    let Some(lane) = entry else { continue };
-                    if lane.sim.done() {
-                        continue;
-                    }
-                    match catch_unwind(AssertUnwindSafe(|| lane.sim.advance_until(target))) {
-                        Ok(()) => all_done &= lane.sim.done(),
-                        Err(payload) => {
-                            // Dropping the lane releases its claims with
-                            // the slot still empty: the failure stays
-                            // retryable, and only this scheme's jobs
-                            // report it.
-                            failures.insert(lane.scheme, panic_message(payload));
-                            *entry = None;
-                        }
-                    }
-                }
-                if all_done {
-                    break;
-                }
-                target = target.saturating_add(LOCKSTEP_CHUNK);
+    // Publish each lane that finished. Dropping a failed lane's producer
+    // releases its claims with the slot still empty: the failure stays
+    // retryable, and only this scheme's jobs report it.
+    let mut produced: HashMap<Scheme, JobOutput> = HashMap::new();
+    for ((key, slot, producer), outcome) in producers
+        .into_iter()
+        .zip(crate::system::drive_lockstep(sims))
+    {
+        let published = outcome.and_then(|outcome| {
+            catch_unwind(AssertUnwindSafe(|| {
+                let entry = MemoEntry::from_outcome(outcome, config);
+                let output = entry.output();
+                publish(disk, &key, &slot, entry);
+                output
+            }))
+        });
+        match published {
+            Ok(output) => {
+                produced.insert(key.scheme, output);
+            }
+            Err(payload) => {
+                failures.insert(key.scheme, panic_message(payload));
             }
         }
-        crate::LockstepMode::Transposed => {
-            // The round protocol of `run_lockstep_with`, with per-lane
-            // panic isolation: recorder = lowest-position eligible lane,
-            // siblings inside the window replay it, ineligible lanes step
-            // live, eligible lanes ahead of the window wait.
-            let mut window = crate::StreamWindow::default();
-            loop {
-                let mut recorder: Option<usize> = None;
-                let mut eligible = 0usize;
-                for (i, entry) in lanes.iter().enumerate() {
-                    let Some(lane) = entry else { continue };
-                    if lane.sim.done() || !lane.sim.wide_eligible() {
-                        continue;
-                    }
-                    eligible += 1;
-                    let best = recorder
-                        .and_then(|r| lanes[r].as_ref())
-                        .map(|l| l.sim.arch_pos());
-                    if best.is_none_or(|b| lane.sim.arch_pos() < b) {
-                        recorder = Some(i);
-                    }
-                }
-                let mut progressed = false;
-                if let Some(r) = recorder {
-                    progressed = true;
-                    let rec_scheme = lanes[r].as_ref().expect("recorder exists").scheme;
-                    let target = lanes[r]
-                        .as_ref()
-                        .expect("recorder exists")
-                        .sim
-                        .committed()
-                        .saturating_add(crate::system::TRANSPOSED_CHUNK);
-                    window.invalidate();
-                    let lane = lanes[r].as_mut().expect("recorder exists");
-                    let recorded = if eligible >= 2 {
-                        catch_unwind(AssertUnwindSafe(|| {
-                            lane.sim.advance_recording(target, &mut window)
-                        }))
-                    } else {
-                        // A lone eligible lane records for nobody.
-                        catch_unwind(AssertUnwindSafe(|| lane.sim.advance_until(target)))
-                    };
-                    match recorded {
-                        Ok(()) => {
-                            let (start, len) = (window.start(), window.len() as u64);
-                            if len > 0 {
-                                for (i, entry) in lanes.iter_mut().enumerate() {
-                                    if i == r {
-                                        continue;
-                                    }
-                                    let Some(lane) = entry else { continue };
-                                    if lane.sim.done() || !lane.sim.wide_eligible() {
-                                        continue;
-                                    }
-                                    let pos = lane.sim.arch_pos();
-                                    if pos < start || pos >= start + len {
-                                        continue;
-                                    }
-                                    let replayed = catch_unwind(AssertUnwindSafe(|| {
-                                        lane.sim.advance_replay(&window)
-                                    }));
-                                    if let Err(payload) = replayed {
-                                        failures.insert(lane.scheme, panic_message(payload));
-                                        *entry = None;
-                                    }
-                                }
-                            }
-                        }
-                        Err(payload) => {
-                            window.invalidate();
-                            failures.insert(rec_scheme, panic_message(payload));
-                            lanes[r] = None;
-                        }
-                    }
-                }
-                for (i, entry) in lanes.iter_mut().enumerate() {
-                    if Some(i) == recorder {
-                        continue;
-                    }
-                    let Some(lane) = entry else { continue };
-                    if lane.sim.done() || lane.sim.wide_eligible() {
-                        continue;
-                    }
-                    let target = lane
-                        .sim
-                        .committed()
-                        .saturating_add(crate::system::TRANSPOSED_CHUNK);
-                    match catch_unwind(AssertUnwindSafe(|| lane.sim.advance_until(target))) {
-                        Ok(()) => {}
-                        Err(payload) => {
-                            failures.insert(lane.scheme, panic_message(payload));
-                            *entry = None;
-                        }
-                    }
-                    progressed = true;
-                }
-                if !progressed {
-                    break;
-                }
-            }
-        }
-    }
-    let wall = wall_start.elapsed().as_secs_f64();
-
-    // Publish each surviving lane: entry, counters, persistent store.
-    for lane in lanes.into_iter().flatten() {
-        let Lane {
-            scheme,
-            key,
-            slot,
-            claim,
-            rc_claim,
-            sim,
-        } = lane;
-        let published = catch_unwind(AssertUnwindSafe(|| {
-            let mut outcome = sim.finish_collecting();
-            if wall > 0.0 {
-                outcome.result.sim_mips = outcome.result.committed as f64 / wall / 1e6;
-            }
-            record_executed(key.config_fp, scheme, app, scale);
-            let entry = MemoEntry {
-                result: outcome.result,
-                trace: match outcome.trace {
-                    Some(t) => OnceLock::from(Arc::new(t)),
-                    None => OnceLock::new(),
-                },
-                zombies: config
-                    .zombie_sample_interval
-                    .is_some()
-                    .then(|| Arc::new(outcome.zombie_samples)),
-            };
-            if let Some(cache) = runcache::active() {
-                let stored = cache.store(
-                    key.config_fp,
-                    scheme,
-                    app,
-                    scale,
-                    &entry.result,
-                    entry.zombies.as_deref().map(Vec::as_slice),
-                );
-                if stored {
-                    cache.journal_append(&runcache::entry_stem(key.config_fp, scheme, app, scale));
-                }
-            }
-            let _ = slot.set(entry);
-        }));
-        if let Err(payload) = published {
-            failures.insert(scheme, panic_message(payload));
-        }
-        drop(rc_claim);
-        drop(claim);
+        drop(producer);
     }
 
-    // Member outputs: a failed lane fails exactly its own jobs; everything
-    // else reads through the ordinary memoized path (which also covers
-    // lanes this group ceded to another producer).
+    // Member outputs: a failed lane fails exactly its own jobs; the first
+    // member of each produced scheme gets this call's result (and its
+    // `sim_mips`); everything else reads through the ordinary memoized
+    // path (which also covers lanes this group ceded to another producer).
     members
         .iter()
         .map(|&i| {
             let job = &jobs[i];
             let outcome = match failures.get(&job.scheme) {
                 Some(msg) => Err(job_error(job, msg.clone())),
-                None => run_single(job),
+                None => produced
+                    .remove(&job.scheme)
+                    .map_or_else(|| run_single(job), Ok),
             };
             (i, outcome)
         })
@@ -1073,13 +920,10 @@ pub fn try_run_jobs_outputs(jobs: &[Job], threads: usize) -> Vec<Result<JobOutpu
                 .unwrap_or_else(|| {
                     // Unreachable in practice (workers always store), kept
                     // as a contained error rather than a fresh panic source.
-                    Err(JobError {
-                        config_fp: effective_fingerprint(&jobs[i].config, jobs[i].scheme),
-                        scheme: jobs[i].scheme,
-                        app: jobs[i].app,
-                        scale: jobs[i].scale,
-                        message: "job was never executed (worker lost)".into(),
-                    })
+                    Err(job_error(
+                        &jobs[i],
+                        "job was never executed (worker lost)".into(),
+                    ))
                 })
         })
         .collect()
@@ -1152,19 +996,9 @@ pub fn count_unique(jobs: &[Job]) -> usize {
     let mut keys = std::collections::HashSet::new();
     for job in jobs {
         if job.scheme == Scheme::Ideal {
-            keys.insert(MemoKey {
-                config_fp: effective_fingerprint(&job.config, Scheme::Baseline),
-                scheme: Scheme::Baseline,
-                app: job.app,
-                scale: job.scale,
-            });
+            keys.insert(baseline_key(&job.config, job.app, job.scale));
         }
-        keys.insert(MemoKey {
-            config_fp: effective_fingerprint(&job.config, job.scheme),
-            scheme: job.scheme,
-            app: job.app,
-            scale: job.scale,
-        });
+        keys.insert(MemoKey::of(job));
     }
     keys.len()
 }
@@ -1351,13 +1185,7 @@ pub fn unique_jobs(jobs: &[Job]) -> Vec<Job> {
                 });
             }
         }
-        let key = MemoKey {
-            config_fp: effective_fingerprint(&job.config, job.scheme),
-            scheme: job.scheme,
-            app: job.app,
-            scale: job.scale,
-        };
-        if seen.insert(key) {
+        if seen.insert(MemoKey::of(job)) {
             out.push(job.clone());
         }
     }
@@ -1722,52 +1550,32 @@ pub fn run_workers(jobs: &[Job], policy: &RetryPolicy, threads: usize) -> Worker
 
 /// Produces one leased job onto disk: simulate (through the in-process memo
 /// table, so a retry after a failed store re-stores without re-executing),
-/// store, journal. The caller holds the job's disk lease.
+/// store, journal. The caller holds the job's disk lease, so only the
+/// in-process claim is taken here.
 fn produce_on_disk(cache: &runcache::RunCache, job: &Job) -> Result<(), JobError> {
-    let config_fp = effective_fingerprint(&job.config, job.scheme);
-    let key = MemoKey {
-        config_fp,
-        scheme: job.scheme,
-        app: job.app,
-        scale: job.scale,
-    };
-    let slot = memo_slot(key.clone());
-    if slot.get().is_none() {
-        if let Some(claim) = claim_blocking(&slot, &key) {
-            let produced = catch_unwind(AssertUnwindSafe(|| {
-                execute(&job.config, job.scheme, job.app, job.scale)
-            }));
-            match produced {
-                Ok(entry) => {
-                    record_executed(config_fp, job.scheme, job.app, job.scale);
-                    let _ = slot.set(entry);
-                }
-                Err(payload) => {
-                    drop(claim);
-                    return Err(job_error(job, panic_message(payload)));
-                }
-            }
-            drop(claim);
+    let key = MemoKey::of(job);
+    let slot = memo_slot(key);
+    let stored = match acquire(&key, &slot, None, true) {
+        Some(producer) => {
+            let entry = catch_unwind(AssertUnwindSafe(|| execute(&job.config, &key)))
+                .map_err(|payload| job_error(job, panic_message(payload)))?;
+            let stored = publish(Some(cache), &key, &slot, entry);
+            drop(producer);
+            stored
         }
-    }
-    let entry = slot.get().expect("slot was just produced");
-    let stored = cache.store(
-        config_fp,
-        job.scheme,
-        job.app,
-        job.scale,
-        &entry.result,
-        entry.zombies.as_deref().map(Vec::as_slice),
-    );
-    if !stored {
+        None => persist(
+            cache,
+            &key,
+            slot.get().expect("acquire waited for the slot"),
+        ),
+    };
+    if stored {
+        Ok(())
+    } else {
         // The simulation result survives in the memo slot; a retry
         // re-enters here and only repeats the store.
-        return Err(job_error(job, "store failed (I/O)".into()));
+        Err(job_error(job, "store failed (I/O)".into()))
     }
-    cache.journal_append(&runcache::entry_stem(
-        config_fp, job.scheme, job.app, job.scale,
-    ));
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1903,6 +1711,36 @@ mod tests {
         let a = run_app(&plain, Scheme::Edbp, AppId::Crc32, Scale::Tiny);
         let b = run_app(&explicit, Scheme::Edbp, AppId::Crc32, Scale::Tiny);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn lockstep_group_reports_sim_mips_only_when_it_simulated() {
+        // A config no other test uses, so the group's keys start cold.
+        let mut config = SystemConfig::paper_default();
+        config.max_instructions = 31_337;
+        let jobs = matrix_jobs(
+            &config,
+            &[Scheme::Baseline, Scheme::Edbp],
+            &[AppId::Crc32],
+            Scale::Tiny,
+        );
+        assert!(matches!(plan_work(&jobs)[..], [WorkItem::Group(_)]));
+        for output in try_run_jobs_outputs(&jobs, 1) {
+            let result = output.expect("job ran").result;
+            assert!(
+                result.sim_mips > 0.0,
+                "{}: fresh run lost its sim_mips",
+                result.scheme
+            );
+        }
+        for output in try_run_jobs_outputs(&jobs, 1) {
+            let result = output.expect("job ran").result;
+            assert_eq!(
+                result.sim_mips, 0.0,
+                "{}: memo hit kept a sim_mips",
+                result.scheme
+            );
+        }
     }
 
     #[test]

@@ -12,6 +12,7 @@ use ehs_cpu::{stream_is_data_independent, Core, CoreState, Effect, INSTRUCTION_B
 use ehs_energy::{BurstPlan, EnergyConfigError, EnergySystem, StepEvent};
 use ehs_units::{Energy, Power, Time};
 use ehs_workloads::{build, AppId, Scale, Workload};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// A pooled checkpoint shadow: the blocks saved across an outage, stored
@@ -1674,18 +1675,12 @@ pub fn build_lane(
     })
 }
 
-/// Committed-instruction chunk in which [`run_lockstep`] rotates between
-/// lanes. Large enough that the per-chunk dynamic dispatch and `done()`
-/// polls are noise; small enough that all lanes of a group stay warm in
-/// cache together.
-const LOCKSTEP_CHUNK: u64 = 32_768;
-
-/// Round size for the transposed drive, deliberately smaller than
-/// [`LOCKSTEP_CHUNK`]: a replayed round touches four parallel record
-/// columns plus every lane's caches, so shorter rounds keep the window
-/// columns L1/L2-resident across the recorder pass and all replayer
-/// passes. Measured on the 9-lane bench, 4k rounds beat both 8k and 32k.
-pub(crate) const TRANSPOSED_CHUNK: u64 = 4_096;
+/// Committed-instruction round of the lockstep drive. A replayed round
+/// touches four parallel record columns plus every lane's caches, so short
+/// rounds keep the window columns L1/L2-resident across the recorder pass
+/// and all replayer passes. Measured on the 9-lane bench, 4k rounds beat
+/// both 8k and 32k.
+const TRANSPOSED_CHUNK: u64 = 4_096;
 
 /// Drives one monomorphized lane to completion under its own wall clock —
 /// the [`build_lane`] counterpart of [`Simulation::run_collecting`]. This
@@ -1704,143 +1699,129 @@ pub fn run_lane(mut lane: Box<dyn LaneRun>) -> RunOutcome {
     outcome
 }
 
-/// How [`run_lockstep`] advances the lanes of a group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LockstepMode {
-    /// Transposed (access-major): one lane records its instruction stream
-    /// per round and the sibling lanes replay it without decoding. Falls
-    /// back to interleaved stepping for ineligible lanes. The default.
-    Transposed,
-    /// Interleaved (lane-major): every lane decodes and executes
-    /// independently in [`LOCKSTEP_CHUNK`] rounds. Forced by
-    /// `EHS_NO_SIMD=1` and used as the semantic reference in the
-    /// divergence gates.
-    Interleaved,
-}
-
-/// The process-default lockstep mode: [`LockstepMode::Transposed`] unless
-/// `EHS_NO_SIMD=1` demands the scalar/interleaved reference regime. Read
-/// once and cached (matching the tag-probe selector's semantics).
-pub fn default_lockstep_mode() -> LockstepMode {
-    static MODE: std::sync::OnceLock<LockstepMode> = std::sync::OnceLock::new();
-    *MODE.get_or_init(|| {
-        if std::env::var("EHS_NO_SIMD").is_ok_and(|v| v == "1") {
-            LockstepMode::Interleaved
-        } else {
-            LockstepMode::Transposed
-        }
-    })
-}
-
 /// Drives a group of lanes over the same workload in lockstep until every
-/// lane is [`LaneRun::done`], in the process-default [`LockstepMode`]. One
-/// wall-clock measurement covers the whole group; each lane's `sim_mips`
-/// is its own committed count over that shared wall time.
+/// lane is [`LaneRun::done`]. One wall-clock measurement covers the whole
+/// group; each lane's `sim_mips` is its own committed count over that
+/// shared wall time. A panicking lane does not stop its siblings: once
+/// every lane has finished, the first panic resumes unwinding.
 ///
 /// Bit-exactness: [`Simulation::advance_until`] never truncates a burst
-/// at its target, so an incrementally driven lane performs the identical
-/// f64 operation sequence as one uninterrupted run — every [`RunOutcome`]
-/// equals the outcome of an independent [`Simulation::run_collecting`]
-/// (modulo `sim_mips`, which is wall-clock-derived in both regimes). The
-/// transposed mode preserves this bit-for-bit (the `lockstep` suite
-/// asserts both modes against solo runs for every scheme).
+/// at its target, and [`Simulation::advance_replay`] performs the same f64
+/// operation sequence as live execution, so every [`RunOutcome`] equals the
+/// outcome of an independent [`run_lane`] (modulo `sim_mips`, which is
+/// wall-clock-derived in both; the `lockstep` suite asserts this for every
+/// scheme).
 pub fn run_lockstep(lanes: Vec<Box<dyn LaneRun>>) -> Vec<RunOutcome> {
-    run_lockstep_with(lanes, default_lockstep_mode())
+    drive_lockstep(lanes)
+        .into_iter()
+        .map(|lane| lane.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+        .collect()
 }
 
-/// [`run_lockstep`] with an explicit [`LockstepMode`].
-pub fn run_lockstep_with(mut lanes: Vec<Box<dyn LaneRun>>, mode: LockstepMode) -> Vec<RunOutcome> {
+/// A lockstep lane: live, or retired with the payload of its panic.
+type LockstepLane = std::thread::Result<Box<dyn LaneRun>>;
+
+/// Runs `step` on a live lane, retiring the lane with the panic payload if
+/// `step` panics. A retired lane is never touched again, so its partly
+/// advanced state is dropped unobserved.
+fn contained(lane: &mut LockstepLane, step: impl FnOnce(&mut dyn LaneRun)) -> bool {
+    let Ok(sim) = lane else {
+        return false;
+    };
+    match catch_unwind(AssertUnwindSafe(|| step(sim.as_mut()))) {
+        Ok(()) => true,
+        Err(payload) => {
+            *lane = Err(payload);
+            false
+        }
+    }
+}
+
+/// The lockstep round protocol behind [`run_lockstep`] and the runner's
+/// lane groups, with each lane's panics contained to that lane. Returns
+/// one entry per input lane, in order: its outcome, or the payload of the
+/// panic that retired it.
+///
+/// Each round:
+///
+/// 1. The *recorder* — the eligible live lane with the lowest
+///    architectural position — advances one chunk live, recording its
+///    stream (when it has at least one eligible sibling; alone it advances
+///    unrecorded).
+/// 2. Every other eligible lane whose position falls inside the window
+///    replays it without decoding; eligible lanes ahead of the window skip
+///    the round until the rest catch up. A recorder that panics mid-round
+///    leaves a window nobody replays.
+/// 3. Ineligible lanes (zombie sampling, cycle-accurate, data-dependent
+///    streams) advance one chunk on the live per-lane stepper.
+pub(crate) fn drive_lockstep(lanes: Vec<Box<dyn LaneRun>>) -> Vec<std::thread::Result<RunOutcome>> {
     let wall_start = std::time::Instant::now();
-    match mode {
-        LockstepMode::Interleaved => {
-            let mut target = LOCKSTEP_CHUNK;
-            loop {
-                let mut all_done = true;
-                for lane in &mut lanes {
-                    if !lane.done() {
-                        lane.advance_until(target);
-                        all_done &= lane.done();
-                    }
-                }
-                if all_done {
-                    break;
-                }
-                target = target.saturating_add(LOCKSTEP_CHUNK);
+    let mut lanes: Vec<LockstepLane> = lanes.into_iter().map(Ok).collect();
+    let mut window = StreamWindow::default();
+    loop {
+        let mut recorder: Option<(usize, u64)> = None;
+        let mut eligible = 0usize;
+        for (i, lane) in lanes.iter().enumerate() {
+            let Ok(sim) = lane else { continue };
+            if sim.done() || !sim.wide_eligible() {
+                continue;
+            }
+            eligible += 1;
+            let pos = sim.arch_pos();
+            if recorder.is_none_or(|(_, best)| pos < best) {
+                recorder = Some((i, pos));
             }
         }
-        LockstepMode::Transposed => {
-            // Round protocol (mirrored with per-lane panic isolation in the
-            // fault-tolerant runner):
-            //
-            // 1. The *recorder* — the eligible unfinished lane with the
-            //    lowest architectural position — advances one chunk live,
-            //    recording its stream (when it has at least one eligible
-            //    sibling; alone it advances unrecorded).
-            // 2. Every other eligible lane whose position falls inside the
-            //    window replays it without decoding; eligible lanes ahead
-            //    of the window skip the round until the rest catch up.
-            // 3. Ineligible lanes (zombie sampling, cycle-accurate,
-            //    data-dependent streams) advance one chunk on the live
-            //    per-lane stepper.
-            let mut window = StreamWindow::default();
-            loop {
-                let mut recorder: Option<usize> = None;
-                let mut eligible = 0usize;
-                for (i, lane) in lanes.iter().enumerate() {
-                    if lane.done() || !lane.wide_eligible() {
-                        continue;
-                    }
-                    eligible += 1;
-                    if recorder.is_none_or(|r| lane.arch_pos() < lanes[r].arch_pos()) {
-                        recorder = Some(i);
-                    }
-                }
-                let mut progressed = false;
-                if let Some(r) = recorder {
-                    progressed = true;
-                    let target = lanes[r].committed().saturating_add(TRANSPOSED_CHUNK);
-                    if eligible >= 2 {
-                        lanes[r].advance_recording(target, &mut window);
-                        let (start, len) = (window.start(), window.len() as u64);
-                        if len > 0 {
-                            for (i, lane) in lanes.iter_mut().enumerate() {
-                                if i == r || lane.done() || !lane.wide_eligible() {
-                                    continue;
-                                }
-                                let pos = lane.arch_pos();
-                                if pos >= start && pos < start + len {
-                                    lane.advance_replay(&window);
-                                }
-                            }
-                        }
-                    } else {
-                        // A lone eligible lane records for nobody.
-                        lanes[r].advance_until(target);
-                    }
-                }
+        let mut progressed = false;
+        if let Some((r, _)) = recorder {
+            progressed = true;
+            if eligible >= 2 {
+                let recorded = contained(&mut lanes[r], |sim| {
+                    let target = sim.committed().saturating_add(TRANSPOSED_CHUNK);
+                    sim.advance_recording(target, &mut window);
+                });
+                let span = window.start()..window.start() + window.len() as u64;
                 for (i, lane) in lanes.iter_mut().enumerate() {
-                    if Some(i) == recorder || lane.done() || lane.wide_eligible() {
-                        continue;
+                    let in_window = recorded
+                        && i != r
+                        && matches!(lane, Ok(sim) if !sim.done()
+                            && sim.wide_eligible()
+                            && span.contains(&sim.arch_pos()));
+                    if in_window {
+                        contained(lane, |sim| sim.advance_replay(&window));
                     }
-                    let target = lane.committed().saturating_add(TRANSPOSED_CHUNK);
-                    lane.advance_until(target);
-                    progressed = true;
                 }
-                if !progressed {
-                    break;
-                }
+            } else {
+                // A lone eligible lane records for nobody.
+                contained(&mut lanes[r], |sim| {
+                    sim.advance_until(sim.committed().saturating_add(TRANSPOSED_CHUNK));
+                });
             }
+        }
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            let live = recorder.is_none_or(|(r, _)| r != i)
+                && matches!(lane, Ok(sim) if !sim.done() && !sim.wide_eligible());
+            if live {
+                contained(lane, |sim| {
+                    sim.advance_until(sim.committed().saturating_add(TRANSPOSED_CHUNK));
+                });
+                progressed = true;
+            }
+        }
+        if !progressed {
+            break;
         }
     }
     let wall = wall_start.elapsed().as_secs_f64();
     lanes
         .into_iter()
         .map(|lane| {
-            let mut outcome = lane.finish_collecting();
+            let sim = lane?;
+            let mut outcome = catch_unwind(AssertUnwindSafe(|| sim.finish_collecting()))?;
             if wall > 0.0 {
                 outcome.result.sim_mips = outcome.result.committed as f64 / wall / 1e6;
             }
-            outcome
+            Ok(outcome)
         })
         .collect()
 }
@@ -1910,4 +1891,143 @@ pub fn run_baseline_with_trace(
         outcome.result,
         outcome.trace.expect("recorder was attached"),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A lane that panics once it has committed `limit` instructions,
+    /// naming the role it was driven in when it did.
+    struct Faulty {
+        inner: Box<dyn LaneRun>,
+        limit: u64,
+    }
+
+    impl Faulty {
+        fn check(&self, role: &str) {
+            let committed = self.inner.committed();
+            if committed >= self.limit {
+                panic!("injected fault while {role} at {committed}");
+            }
+        }
+    }
+
+    impl LaneRun for Faulty {
+        fn advance_until(&mut self, target: u64) {
+            self.inner.advance_until(target);
+            self.check("stepping");
+        }
+
+        fn committed(&self) -> u64 {
+            self.inner.committed()
+        }
+
+        fn done(&self) -> bool {
+            self.inner.done()
+        }
+
+        fn scheme(&self) -> Scheme {
+            self.inner.scheme()
+        }
+
+        fn finish_collecting(self: Box<Self>) -> RunOutcome {
+            self.inner.finish_collecting()
+        }
+
+        fn arch_pos(&self) -> u64 {
+            self.inner.arch_pos()
+        }
+
+        fn wide_eligible(&self) -> bool {
+            self.inner.wide_eligible()
+        }
+
+        fn advance_recording(&mut self, target: u64, window: &mut StreamWindow) {
+            self.inner.advance_recording(target, window);
+            self.check("recording");
+        }
+
+        fn advance_replay(&mut self, window: &StreamWindow) {
+            self.inner.advance_replay(window);
+            self.check("replaying");
+        }
+    }
+
+    const SCHEMES: [Scheme; 3] = [Scheme::Baseline, Scheme::Edbp, Scheme::DecayEdbp];
+    const FAULT_AT: u64 = 20_000;
+
+    fn lane(scheme: Scheme) -> Box<dyn LaneRun> {
+        build_lane(
+            &SystemConfig::paper_default(),
+            scheme,
+            build(AppId::Patricia, Scale::Tiny),
+            None,
+            false,
+        )
+        .expect("paper-default energy configuration is valid")
+    }
+
+    /// Lanes for [`SCHEMES`] with the one at `faulty` wrapped in [`Faulty`].
+    fn group(faulty: usize) -> Vec<Box<dyn LaneRun>> {
+        SCHEMES
+            .iter()
+            .enumerate()
+            .map(|(i, &scheme)| {
+                if i == faulty {
+                    Box::new(Faulty {
+                        inner: lane(scheme),
+                        limit: FAULT_AT,
+                    })
+                } else {
+                    lane(scheme)
+                }
+            })
+            .collect()
+    }
+
+    /// Drives a group whose lane `faulty` panics mid-run: that lane must
+    /// report its own panic from `role`, and every sibling must finish
+    /// exactly as it would alone.
+    fn assert_contained(faulty: usize, role: &str) {
+        let outcomes = drive_lockstep(group(faulty));
+        for (i, (&scheme, outcome)) in SCHEMES.iter().zip(outcomes).enumerate() {
+            match outcome {
+                Err(payload) => {
+                    assert_eq!(i, faulty, "healthy lane {scheme} failed");
+                    let message = payload
+                        .downcast_ref::<String>()
+                        .expect("the fault panics with a formatted message");
+                    assert!(
+                        message.starts_with(&format!("injected fault while {role}")),
+                        "unexpected fault: {message}"
+                    );
+                }
+                Ok(joint) => {
+                    assert_ne!(i, faulty, "the faulty lane {scheme} completed");
+                    assert_eq!(
+                        joint.result,
+                        run_lane(lane(scheme)).result,
+                        "sibling {scheme} diverged after a lane panicked"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn recorder_panic_is_contained_to_its_lane() {
+        assert_contained(0, "recording");
+    }
+
+    #[test]
+    fn replayer_panic_is_contained_to_its_lane() {
+        assert_contained(1, "replaying");
+    }
+
+    #[test]
+    #[should_panic(expected = "injected fault while recording")]
+    fn run_lockstep_resumes_a_lane_panic() {
+        run_lockstep(group(0));
+    }
 }
